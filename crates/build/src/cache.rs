@@ -10,8 +10,8 @@
 //! [`LayerStore`]: zr_image::LayerStore
 
 use crate::options::BuildOptions;
-use zeroroot_core::digest::FieldDigest;
 use zeroroot_core::make;
+use zr_digest::FieldDigest;
 use zr_dockerfile::{substitute, Instruction};
 use zr_image::CacheKey;
 

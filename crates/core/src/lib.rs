@@ -22,7 +22,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod digest;
 pub mod fakeroot;
 pub mod interpose;
 pub mod proot;

@@ -1,25 +1,38 @@
 //! # zr-digest — content digesting for the whole workspace
 //!
-//! One self-contained SHA-256 (FIPS 180-4) plus the injectivity layer
-//! the cache keys rely on. ch-image gets content addressing for free
-//! from git's object store; here this crate plays the same role —
-//! deterministic, collision-resistant, and dependency-free (the
-//! workspace builds offline).
+//! One SHA-256 (FIPS 180-4) plus the injectivity layer the cache keys
+//! rely on. ch-image gets content addressing for free from git's object
+//! store; here this crate plays the same role — deterministic,
+//! collision-resistant, and dependency-free (the workspace builds
+//! offline).
+//!
+//! The hash has two compress backends behind one API. On x86-64 CPUs
+//! with SHA-NI (checked at run time with `is_x86_feature_detected!`,
+//! together with SSSE3 and SSE4.1) full blocks go through
+//! `sha256rnds2`/`sha256msg1`/`sha256msg2`; every other CPU and
+//! architecture runs the portable compress. Detection is the only
+//! switch — no feature flag, no environment variable — and both
+//! backends yield the same bytes, which the differential tests below
+//! pin. The SHA-NI kernel is itself safe code (value intrinsics only,
+//! no pointer loads); the crate's one `unsafe` is the call into it once
+//! detection has succeeded (`ni.rs`).
 //!
 //! This is the *bottom* of the dependency tree on purpose: `zr-vfs`
 //! memoizes per-blob digests inside its copy-on-write file blobs, and
 //! everything above (the image digest, the layer-cache keys, the
-//! build-context digests) reuses those memos instead of re-hashing
-//! bytes. `zeroroot_core::digest` re-exports this crate, so historical
-//! import paths keep working.
+//! build-context digests, the CAS and wire verification) reuses this
+//! crate instead of carrying its own hash.
 //!
 //! [`FieldDigest`] is the injectivity layer on top: every field is
 //! length-prefixed before it reaches the hash, so `("ab", "c")` and
 //! `("a", "bc")` can never collide by concatenation, which the
 //! cross-crate property tests pin.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)] // ni.rs opts back in for its one detected call
 #![warn(missing_docs)]
+
+#[cfg(target_arch = "x86_64")]
+mod ni;
 
 /// Round constants: fractional parts of the cube roots of the first 64
 /// primes (FIPS 180-4 §4.2.2).
@@ -103,7 +116,9 @@ const H0: [u32; 8] = [
     0x5be0_cd19,
 ];
 
-/// An incremental SHA-256 hasher (FIPS 180-4), pure safe Rust.
+/// An incremental SHA-256 hasher (FIPS 180-4). Full blocks go to the
+/// SHA-NI backend when the CPU has it, to the portable one otherwise;
+/// both produce the same digest.
 #[derive(Debug, Clone)]
 pub struct Sha256 {
     h: [u32; 8],
@@ -132,6 +147,23 @@ impl Sha256 {
 
     /// Absorb `data`.
     pub fn update(&mut self, data: &[u8]) {
+        self.absorb(data, compress);
+    }
+
+    /// Pad, compress the tail, and return the 32-byte digest.
+    pub fn finalize(self) -> [u8; 32] {
+        self.finish(compress)
+    }
+
+    /// One-shot digest.
+    pub fn digest(data: &[u8]) -> [u8; 32] {
+        let mut h = Sha256::new();
+        h.update(data);
+        h.finalize()
+    }
+
+    /// [`update`](Self::update) over an explicit compress backend.
+    fn absorb(&mut self, data: &[u8], compress: impl Fn(&mut [u32; 8], &[u8])) {
         self.total = self.total.wrapping_add(data.len() as u64);
         let mut rest = data;
         // Top up a partial block first.
@@ -143,31 +175,32 @@ impl Sha256 {
             if self.buf_len < 64 {
                 return; // block still partial; nothing else to absorb
             }
-            let block = self.buf;
-            self.compress(&block);
+            compress(&mut self.h, &self.buf);
             self.buf_len = 0;
         }
-        while rest.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&rest[..64]);
-            self.compress(&block);
-            rest = &rest[64..];
+        // Whole blocks straight from the input, then buffer the tail.
+        let (blocks, tail) = rest.split_at(rest.len() - rest.len() % 64);
+        if !blocks.is_empty() {
+            compress(&mut self.h, blocks);
         }
-        self.buf[..rest.len()].copy_from_slice(rest);
-        self.buf_len = rest.len();
+        self.buf[..tail.len()].copy_from_slice(tail);
+        self.buf_len = tail.len();
     }
 
-    /// Pad, compress the tail, and return the 32-byte digest.
-    pub fn finalize(mut self) -> [u8; 32] {
+    /// [`finalize`](Self::finalize) over an explicit compress backend:
+    /// `0x80`, zero fill and the 64-bit bit length, written into the
+    /// block buffer at once (one extra block when the tail leaves no
+    /// room for the length).
+    fn finish(mut self, compress: impl Fn(&mut [u32; 8], &[u8])) -> [u8; 32] {
         let bit_len = self.total.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        self.buf[self.buf_len] = 0x80;
+        self.buf[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            compress(&mut self.h, &self.buf);
+            self.buf[..56].fill(0);
         }
-        // Length is absorbed directly (update would recount it).
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buf;
-        self.compress(&block);
+        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.h, &self.buf);
 
         let mut out = [0u8; 32];
         for (chunk, word) in out.chunks_exact_mut(4).zip(self.h) {
@@ -175,15 +208,22 @@ impl Sha256 {
         }
         out
     }
+}
 
-    /// One-shot digest.
-    pub fn digest(data: &[u8]) -> [u8; 32] {
-        let mut h = Sha256::new();
-        h.update(data);
-        h.finalize()
+/// Compress a whole number of 64-byte blocks into `state` on the best
+/// backend this CPU runs. Detection is the only switch.
+fn compress(state: &mut [u32; 8], blocks: &[u8]) {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(ni) = ni::ShaNi::detect() {
+        return ni.compress(state, blocks);
     }
+    compress_portable(state, blocks);
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
+/// The portable compress backend (FIPS 180-4 §6.2.2), used on every CPU
+/// without SHA-NI.
+fn compress_portable(state: &mut [u32; 8], blocks: &[u8]) {
+    for block in blocks.chunks_exact(64) {
         let mut w = [0u32; 64];
         for (t, chunk) in block.chunks_exact(4).enumerate() {
             w[t] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -197,7 +237,7 @@ impl Sha256 {
                 .wrapping_add(s1);
         }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.h;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for t in 0..64 {
             let big_s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -219,7 +259,7 @@ impl Sha256 {
             a = t1.wrapping_add(t2);
         }
 
-        for (slot, v) in self.h.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        for (slot, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
             *slot = slot.wrapping_add(v);
         }
     }
@@ -227,13 +267,25 @@ impl Sha256 {
 
 /// Lowercase hex rendering of a digest.
 pub fn hex(bytes: &[u8]) -> String {
-    const DIGITS: &[u8; 16] = b"0123456789abcdef";
     let mut s = Vec::with_capacity(bytes.len() * 2);
-    for &b in bytes {
-        s.push(DIGITS[usize::from(b >> 4)]);
-        s.push(DIGITS[usize::from(b & 0x0f)]);
-    }
+    push_hex(&mut s, bytes);
     String::from_utf8(s).expect("hex digits are ASCII")
+}
+
+/// Append the lowercase hex rendering of `bytes` to `out` — [`hex`]
+/// for encoders that write digests into a larger buffer.
+pub fn push_hex(out: &mut Vec<u8>, bytes: &[u8]) {
+    // Branch-free nibble → ASCII, so the loop vectorizes: content
+    // addresses are rendered once per blob, record entry and cache key.
+    fn digit(nibble: u8) -> u8 {
+        nibble + if nibble < 10 { b'0' } else { b'a' - 10 }
+    }
+    let start = out.len();
+    out.resize(start + bytes.len() * 2, 0);
+    for (pair, &b) in out[start..].chunks_exact_mut(2).zip(bytes) {
+        pair[0] = digit(b >> 4);
+        pair[1] = digit(b & 0x0f);
+    }
 }
 
 /// A digest over a *sequence of fields*: each field is written as an
@@ -304,10 +356,7 @@ mod tests {
             h.update(&chunk[..take]);
             fed += take;
         }
-        assert_eq!(
-            hex(&h.finalize()),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
+        assert_eq!(hex(&h.finalize()), MILLION_A);
     }
 
     #[test]
@@ -319,6 +368,123 @@ mod tests {
             h.update(&data[split..]);
             assert_eq!(h.finalize(), Sha256::digest(data), "split at {split}");
         }
+    }
+
+    /// NIST's one-million-`a` vector.
+    const MILLION_A: &str = "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0";
+
+    /// Digest of `parts` fed in order through one backend.
+    fn digest_parts(parts: &[&[u8]], compress: impl Fn(&mut [u32; 8], &[u8]) + Copy) -> [u8; 32] {
+        let mut h = Sha256::new();
+        for part in parts {
+            h.absorb(part, compress);
+        }
+        h.finish(compress)
+    }
+
+    /// Deterministic test bytes (xorshift64).
+    fn pseudo_random(len: usize, mut seed: u64) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                seed ^= seed << 13;
+                seed ^= seed >> 7;
+                seed ^= seed << 17;
+                seed as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn portable_backend_matches_vectors() {
+        assert_eq!(
+            hex(&digest_parts(&[b"abc"], compress_portable)),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        );
+        let million = vec![b'a'; 1_000_000];
+        assert_eq!(
+            hex(&digest_parts(&[&million], compress_portable)),
+            MILLION_A
+        );
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    mod sha_ni {
+        use super::super::ni::ShaNi;
+        use super::*;
+
+        /// The SHA-NI backend, or `None` (with a note) on a CPU without
+        /// it — the portable tests above still cover the fallback.
+        fn ni() -> Option<ShaNi> {
+            let ni = ShaNi::detect();
+            if ni.is_none() {
+                eprintln!("note: this CPU lacks SHA-NI; skipping the SHA-NI side");
+            }
+            ni
+        }
+
+        #[test]
+        fn backends_agree_on_every_length() {
+            let Some(ni) = ni() else { return };
+            let data = pseudo_random(1024, 0x5eed);
+            for len in 0..=data.len() {
+                let msg = &data[..len];
+                assert_eq!(
+                    digest_parts(&[msg], compress_portable),
+                    digest_parts(&[msg], |s, b| ni.compress(s, b)),
+                    "length {len}"
+                );
+            }
+        }
+
+        #[test]
+        fn backends_agree_on_random_splits() {
+            let Some(ni) = ni() else { return };
+            let data = pseudo_random(4096, 7);
+            let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+            for _ in 0..200 {
+                // Up to four cut points anywhere in the message.
+                let mut cuts: Vec<usize> = (0..4)
+                    .map(|_| {
+                        seed ^= seed << 13;
+                        seed ^= seed >> 7;
+                        seed ^= seed << 17;
+                        (seed % (data.len() as u64 + 1)) as usize
+                    })
+                    .collect();
+                cuts.sort_unstable();
+                let mut parts = Vec::new();
+                let mut at = 0;
+                for cut in cuts {
+                    parts.push(&data[at..cut]);
+                    at = cut;
+                }
+                parts.push(&data[at..]);
+                let want = digest_parts(&[&data], compress_portable);
+                assert_eq!(digest_parts(&parts, compress_portable), want);
+                assert_eq!(digest_parts(&parts, |s, b| ni.compress(s, b)), want);
+            }
+        }
+
+        #[test]
+        fn backends_agree_on_million_a() {
+            let Some(ni) = ni() else { return };
+            let million = vec![b'a'; 1_000_000];
+            assert_eq!(
+                hex(&digest_parts(&[&million], |s, b| ni.compress(s, b))),
+                MILLION_A
+            );
+        }
+    }
+
+    #[test]
+    fn hex_renders_every_byte() {
+        let all: Vec<u8> = (0..=255).collect();
+        let want: String = all.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex(&all), want);
+        assert_eq!(hex(&[]), "");
+        let mut out = b"sha256:".to_vec();
+        push_hex(&mut out, &[0x0f, 0xa0]);
+        assert_eq!(out, b"sha256:0fa0");
     }
 
     #[test]

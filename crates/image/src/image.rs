@@ -1,6 +1,6 @@
 //! Image data model.
 
-use zeroroot_core::digest::FieldDigest;
+use zr_digest::FieldDigest;
 use zr_vfs::fs::Fs;
 
 /// Distribution family — decides the package manager and its syscall

@@ -19,8 +19,8 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use zeroroot_core::digest::FieldDigest;
 use zeroroot_core::sync::{lock_or_poisoned, shard_index};
+use zr_digest::FieldDigest;
 use zr_vfs::fs::Fs;
 use zr_vfs::FileKind;
 

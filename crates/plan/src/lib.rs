@@ -35,7 +35,7 @@
 
 use std::collections::BTreeSet;
 
-use zeroroot_core::digest::FieldDigest;
+use zr_digest::FieldDigest;
 use zr_dockerfile::{Dockerfile, Instruction};
 
 /// What a stage's FROM resolves to.

@@ -30,14 +30,6 @@ impl Enc {
         Enc { buf: Vec::new() }
     }
 
-    /// [`raw`](Enc::raw) with preallocated capacity, for encoders on a
-    /// hot path that know their fragment size up front.
-    pub fn raw_with_capacity(cap: usize) -> Enc {
-        Enc {
-            buf: Vec::with_capacity(cap),
-        }
-    }
-
     /// Append one byte.
     pub fn u8(&mut self, v: u8) -> &mut Self {
         self.buf.push(v);
@@ -66,6 +58,25 @@ impl Enc {
     /// Append a length-prefixed UTF-8 string.
     pub fn str(&mut self, s: &str) -> &mut Self {
         self.bytes(s.as_bytes())
+    }
+
+    /// Append a digest as a length-prefixed lowercase hex string: the
+    /// bytes `str(&hex(digest))` writes, without the `String`.
+    pub fn hex(&mut self, digest: &[u8]) -> &mut Self {
+        self.u64(digest.len() as u64 * 2);
+        zr_digest::push_hex(&mut self.buf, digest);
+        self
+    }
+
+    /// The bytes written so far.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Forget what was written but keep the allocation — one scratch
+    /// encoder for many short fragments.
+    pub fn clear(&mut self) {
+        self.buf.clear();
     }
 
     /// The finished record.

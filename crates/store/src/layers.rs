@@ -259,7 +259,7 @@ impl DiskLayers {
         // The parent is in memory but its split record is not cached:
         // re-encode its entries (pure — blob digests are memoized, no
         // I/O) and locate its stored tree object via its record.
-        let entries = encode_tree_entries(&parent.fs, |blob| Ok(blob.sha_hex())).ok()?;
+        let entries = encode_tree_entries(&parent.fs, &[], |_| {});
         let parts = self.read_record(parent_key).ok().flatten()?;
         let (object_digest, depth) = match parts.tree_ref {
             TreeRef::Full { digest } => (digest, 0),
@@ -295,9 +295,9 @@ impl DiskLayers {
 
         let (tree_ref, entries, cached, delta) = match parent_tree {
             Some((parent_key, tree)) => {
-                // Pure walk: blob digests are memoized, nothing is
-                // collected beyond the entry bytes themselves.
-                let entries = encode_tree_entries(&layer.fs, |blob| Ok(blob.sha_hex()))?;
+                // Pure walk: blob digests are memoized, and every
+                // entry the parent already has is shared, not copied.
+                let entries = encode_tree_entries(&layer.fs, &tree.entries, |_| {});
                 let tree_ref = self.persist_delta(layer, &parent_key, &tree, &entries)?;
                 let depth = tree.depth + 1;
                 (tree_ref, entries, depth, true)
@@ -306,11 +306,9 @@ impl DiskLayers {
                 // The full path stores every payload, so capture the
                 // blobs as the walk hands them out.
                 let mut blobs_by_digest = HashMap::new();
-                let entries = encode_tree_entries(&layer.fs, |blob| {
-                    let digest = blob.sha_hex();
-                    blobs_by_digest.insert(digest.clone(), Arc::clone(blob));
-                    Ok(digest)
-                })?;
+                let entries = encode_tree_entries(&layer.fs, &[], |blob| {
+                    blobs_by_digest.insert(blob.sha_hex(), Arc::clone(blob));
+                });
                 let tree_ref = self.persist_full(layer, &entries, &blobs_by_digest)?;
                 (tree_ref, entries, 0, false)
             }
@@ -338,15 +336,15 @@ impl DiskLayers {
         entries: &[TreeEntry],
         blobs: &HashMap<String, Arc<zr_vfs::Blob>>,
     ) -> Result<TreeRef> {
-        let record = assemble_tree_record(entries);
+        let record = assemble_tree_record(entries.iter().map(TreeEntry::bytes));
         let mut batch = self.cas.batch();
         let mut digests: Vec<String> = Vec::new();
         for entry in entries {
-            if let Some(digest) = &entry.file_digest {
+            if let Some(digest) = entry.file_digest() {
                 if let Some(blob) = blobs.get(digest) {
                     batch.put_blob(blob)?;
                 }
-                digests.push(digest.clone());
+                digests.push(digest.to_string());
             }
         }
         let tree_digest = batch.put(&record)?;
@@ -383,9 +381,15 @@ impl DiskLayers {
         let mut upserts: Vec<&TreeEntry> = Vec::new();
         let (mut i, mut j) = (0, 0);
         while i < parent.entries.len() && j < entries.len() {
-            match walk_order(&parent.entries[i].path, &entries[j].path) {
+            if parent.entries[i].shares_bytes_with(&entries[j]) {
+                // Shared by the encoder: same path, same bytes.
+                i += 1;
+                j += 1;
+                continue;
+            }
+            match walk_order(parent.entries[i].path(), entries[j].path()) {
                 std::cmp::Ordering::Less => {
-                    removed.push(parent.entries[i].path.as_str());
+                    removed.push(parent.entries[i].path());
                     i += 1;
                 }
                 std::cmp::Ordering::Greater => {
@@ -393,7 +397,7 @@ impl DiskLayers {
                     j += 1;
                 }
                 std::cmp::Ordering::Equal => {
-                    if parent.entries[i].bytes != entries[j].bytes {
+                    if parent.entries[i].bytes() != entries[j].bytes() {
                         upserts.push(&entries[j]);
                     }
                     i += 1;
@@ -401,7 +405,7 @@ impl DiskLayers {
                 }
             }
         }
-        removed.extend(parent.entries[i..].iter().map(|e| e.path.as_str()));
+        removed.extend(parent.entries[i..].iter().map(TreeEntry::path));
         upserts.extend(entries[j..].iter());
 
         // The digest the reconstructed record must reproduce —
@@ -419,23 +423,23 @@ impl DiskLayers {
         }
         enc.u64(upserts.len() as u64);
         for entry in &upserts {
-            enc.str(&entry.path);
-            enc.bytes(&entry.bytes);
+            enc.str(entry.path());
+            enc.bytes(entry.bytes());
         }
 
         let mut batch = self.cas.batch();
         let mut digests: Vec<String> = Vec::new();
         let root_acc = zr_vfs::Access::root();
         for entry in &upserts {
-            if let Some(digest) = &entry.file_digest {
+            if let Some(digest) = entry.file_digest() {
                 let blob = layer
                     .fs
-                    .read_file_blob(&entry.path, &root_acc)
+                    .read_file_blob(entry.path(), &root_acc)
                     .map_err(|e| {
-                        StoreError::corrupt(format!("{}: walked but unreadable: {e}", entry.path))
+                        StoreError::corrupt(format!("{}: walked but unreadable: {e}", entry.path()))
                     })?;
                 batch.put_blob(&blob)?;
-                digests.push(digest.clone());
+                digests.push(digest.to_string());
             }
         }
         let delta_digest = batch.put(&enc.finish())?;
@@ -509,7 +513,7 @@ impl DiskLayers {
         };
         let mut by_path: HashMap<String, Vec<u8>> = split_tree_record(&base)?
             .into_iter()
-            .map(|e| (e.path, e.bytes))
+            .map(|e| (e.path().to_string(), e.bytes().to_vec()))
             .collect();
         for delta in deltas.iter().rev() {
             for path in &delta.removed {
@@ -523,15 +527,7 @@ impl DiskLayers {
         // byte-wise — "/d.x" walks after "/d/y") and re-frame.
         let mut paths: Vec<&String> = by_path.keys().collect();
         paths.sort_by(|a, b| walk_order(a, b));
-        let entries: Vec<TreeEntry> = paths
-            .into_iter()
-            .map(|p| TreeEntry {
-                path: p.clone(),
-                bytes: by_path[p].clone(),
-                file_digest: None,
-            })
-            .collect();
-        let record = assemble_tree_record(&entries);
+        let record = assemble_tree_record(paths.into_iter().map(|p| by_path[p].as_slice()));
         let found = hex(&Sha256::digest(&record));
         if &found != full_digest {
             return Err(StoreError::corrupt(format!(

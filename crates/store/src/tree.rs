@@ -13,11 +13,12 @@
 //! one byte string, so record digests double as tree identities.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
-use zr_syscalls::mode::{S_IFBLK, S_IFCHR, S_IFDIR, S_IFIFO, S_IFLNK, S_IFMT, S_IFREG, S_IFSOCK};
+use zr_syscalls::mode::{S_IFDIR, S_IFMT};
 use zr_vfs::fs::{FollowMode, Fs};
-use zr_vfs::{Access, Blob, FileKind};
+use zr_vfs::{Access, Blob, FileKind, Ino};
 
 use crate::codec::{Dec, Enc};
 use crate::error::{Result, StoreError};
@@ -38,129 +39,184 @@ const KIND_HARDLINK: u8 = 7;
 
 /// One entry of a tree record, as exact bytes.
 ///
-/// `bytes` is the entry's full encoding *including* its leading path
-/// string — concatenating entries (with the record header) reproduces
-/// the canonical record byte-for-byte, which is what lets delta
-/// records diff and patch at entry granularity without re-deriving
-/// anything.
+/// The bytes are the entry's full encoding *including* its leading
+/// path string — concatenating entries (with the record header)
+/// reproduces the canonical record byte-for-byte, which is what lets
+/// delta records diff and patch at entry granularity without
+/// re-deriving anything. Clones share the bytes, so a child layer's
+/// entries reuse its parent's for every path whose encoding did not
+/// change (see [`encode_tree_entries`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TreeEntry {
-    /// The entry's absolute path.
-    pub path: String,
-    /// The entry's exact record bytes (path included).
-    pub bytes: Vec<u8>,
-    /// For regular-file entries, the payload blob digest recorded in
-    /// `bytes` (hard links carry `None`; their payload digest lives on
-    /// the first path).
-    pub file_digest: Option<String>,
+    bytes: Arc<[u8]>,
+    /// End of the path string in `bytes` (it starts after its 8-byte
+    /// length prefix).
+    path_end: usize,
+    /// Where a regular-file entry's payload digest sits in `bytes`.
+    digest: Option<Range<usize>>,
 }
 
-/// Encode `fs` as tree-record entries. `store_blob` is called once per
-/// distinct file inode to persist its payload and return the digest
-/// recorded in its entry (hard links reference the first path).
+impl TreeEntry {
+    /// The entry's absolute path.
+    pub fn path(&self) -> &str {
+        std::str::from_utf8(&self.bytes[8..self.path_end])
+            .expect("entry paths are UTF-8 by construction")
+    }
+
+    /// The entry's exact record bytes (path included).
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// For regular-file entries, the payload blob digest recorded in
+    /// the bytes (hard links carry `None`; their payload digest lives
+    /// on the first path).
+    pub fn file_digest(&self) -> Option<&str> {
+        let range = self.digest.clone()?;
+        Some(std::str::from_utf8(&self.bytes[range]).expect("digests are UTF-8 by construction"))
+    }
+
+    /// Do both entries share one allocation (and so one encoding)?
+    pub(crate) fn shares_bytes_with(&self, other: &TreeEntry) -> bool {
+        Arc::ptr_eq(&self.bytes, &other.bytes)
+    }
+}
+
+/// Encode `fs` as tree-record entries, file payloads referenced by
+/// their memoized digest. `on_blob` sees each distinct file inode's
+/// payload once (hard links reference the first path) — for callers
+/// that store the payloads alongside the record.
+///
+/// `previous` is the walk-ordered entry list of a similar tree — a
+/// child layer's parent, or empty. Each entry whose encoding is
+/// byte-identical to the one `previous` holds for the same path
+/// shares that entry's bytes instead of a fresh copy, so a layer that
+/// changes k paths allocates O(k) entry bytes, not O(paths).
 pub fn encode_tree_entries(
     fs: &Fs,
-    mut store_blob: impl FnMut(&Arc<Blob>) -> Result<String>,
-) -> Result<Vec<TreeEntry>> {
-    let root = Access::root();
-    let paths = fs.walk_paths(&root);
-    let mut entries: Vec<TreeEntry> = Vec::with_capacity(paths.len());
-    // Entry index of the first path seen for each non-directory inode:
-    // later occurrences are hard links to it.
-    let mut first_entry: HashMap<u64, usize> = HashMap::new();
-    for (path, st) in paths {
-        // Sized for the common shapes (a file entry is its path, a hex
-        // digest and ~45 fixed bytes) so the hot walk never reallocs.
-        let mut enc = Enc::raw_with_capacity(path.len() + 128);
-        let mut file_digest = None;
-        enc.str(&path);
-        let kind_bits = st.mode & S_IFMT;
-        let is_dir = kind_bits == S_IFDIR;
-        if !is_dir {
-            if let Some(&earlier) = first_entry.get(&st.ino) {
-                enc.u8(KIND_HARDLINK);
-                enc.str(&entries[earlier].path);
-                // Metadata lives on the first entry.
-                entries.push(TreeEntry {
-                    path,
-                    bytes: enc.finish(),
-                    file_digest: None,
-                });
-                continue;
+    previous: &[TreeEntry],
+    mut on_blob: impl FnMut(&Arc<Blob>),
+) -> Vec<TreeEntry> {
+    let mut entries: Vec<TreeEntry> = Vec::with_capacity(previous.len());
+    // Entry index of the first path seen for each non-directory inode
+    // with more than one link: later occurrences are hard links to it.
+    // (The VFS keeps `nlink` equal to the number of names an inode
+    // has, so a single-link inode can never show up twice.)
+    let mut first_entry: HashMap<Ino, usize> = HashMap::new();
+    // Cursor into `previous`, which is in the same walk order.
+    let mut prev = 0usize;
+    // One scratch encoder for every entry: an entry only gets its own
+    // allocation when `previous` has no identical one to share.
+    let mut enc = Enc::raw();
+    fs.for_each_path(&Access::root(), |path, ino, node| {
+        enc.clear();
+        let mut digest_at = None;
+        enc.str(path);
+        let path_end = enc.as_bytes().len();
+        let hardlink = !matches!(node.kind, FileKind::Dir { .. }) && node.meta.nlink > 1;
+        let earlier = if hardlink {
+            first_entry.get(&ino).copied()
+        } else {
+            None
+        };
+        if let Some(earlier) = earlier {
+            enc.u8(KIND_HARDLINK);
+            enc.str(entries[earlier].path());
+            // Metadata lives on the first entry.
+        } else {
+            if hardlink {
+                first_entry.insert(ino, entries.len());
             }
-            first_entry.insert(st.ino, entries.len());
+            match &node.kind {
+                FileKind::Dir { .. } => {
+                    enc.u8(KIND_DIR);
+                }
+                FileKind::File(blob) => {
+                    on_blob(blob);
+                    enc.u8(KIND_FILE);
+                    let at = enc.as_bytes().len() + 8;
+                    enc.hex(blob.sha_bytes());
+                    digest_at = Some(at..enc.as_bytes().len());
+                    enc.u64(blob.len() as u64);
+                }
+                FileKind::Symlink(target) => {
+                    enc.u8(KIND_SYMLINK);
+                    enc.str(target);
+                }
+                FileKind::CharDev(rdev) => {
+                    enc.u8(KIND_CHARDEV);
+                    enc.u64(*rdev);
+                }
+                FileKind::BlockDev(rdev) => {
+                    enc.u8(KIND_BLOCKDEV);
+                    enc.u64(*rdev);
+                }
+                FileKind::Fifo => {
+                    enc.u8(KIND_FIFO);
+                }
+                FileKind::Socket => {
+                    enc.u8(KIND_SOCKET);
+                }
+            }
+            enc.u32(node.meta.perm & 0o7777);
+            enc.u32(node.meta.uid);
+            enc.u32(node.meta.gid);
+            enc.u64(node.meta.mtime);
+            enc.u64(node.meta.xattrs.len() as u64);
+            for (name, value) in &node.meta.xattrs {
+                enc.str(name);
+                enc.bytes(value);
+            }
         }
-        match kind_bits {
-            S_IFDIR => {
-                enc.u8(KIND_DIR);
-            }
-            S_IFREG => {
-                let blob = fs
-                    .file_blob(st.ino)
-                    .map_err(|e| StoreError::corrupt(format!("read {path}: {e}")))?;
-                let digest = store_blob(&blob)?;
-                enc.u8(KIND_FILE);
-                enc.str(&digest);
-                enc.u64(blob.len() as u64);
-                file_digest = Some(digest);
-            }
-            S_IFLNK => {
-                let target = fs
-                    .symlink_target(st.ino)
-                    .map_err(|e| StoreError::corrupt(format!("readlink {path}: {e}")))?;
-                enc.u8(KIND_SYMLINK);
-                enc.str(&target);
-            }
-            S_IFCHR => {
-                enc.u8(KIND_CHARDEV);
-                enc.u64(st.rdev);
-            }
-            S_IFBLK => {
-                enc.u8(KIND_BLOCKDEV);
-                enc.u64(st.rdev);
-            }
-            S_IFIFO => {
-                enc.u8(KIND_FIFO);
-            }
-            S_IFSOCK => {
-                enc.u8(KIND_SOCKET);
-            }
-            other => {
-                return Err(StoreError::corrupt(format!(
-                    "{path}: unencodable file type {other:o}"
-                )));
-            }
-        }
-        enc.u32(st.mode & 0o7777);
-        enc.u32(st.uid);
-        enc.u32(st.gid);
-        enc.u64(st.mtime);
-        let xattrs = fs.list_xattr(st.ino).unwrap_or_default();
-        enc.u64(xattrs.len() as u64);
-        for name in xattrs {
-            let value = fs
-                .get_xattr(st.ino, &name)
-                .map_err(|e| StoreError::corrupt(format!("xattr {path} {name}: {e}")))?;
-            enc.str(&name);
-            enc.bytes(&value);
-        }
-        entries.push(TreeEntry {
-            path,
-            bytes: enc.finish(),
-            file_digest,
-        });
-    }
-    Ok(entries)
+        let shared = shared_entry(previous, &mut prev, path, enc.as_bytes());
+        entries.push(shared.unwrap_or_else(|| TreeEntry {
+            bytes: Arc::from(enc.as_bytes()),
+            path_end,
+            digest: digest_at,
+        }));
+    });
+    entries
 }
 
-/// Frame entries as a complete canonical tree record — byte-identical
-/// to what [`encode_tree`] produces from the live filesystem.
-pub fn assemble_tree_record(entries: &[TreeEntry]) -> Vec<u8> {
+/// The entry of `previous` at `path` if its bytes equal `bytes`,
+/// advancing the walk-order cursor `at` past everything up to `path`.
+fn shared_entry(
+    previous: &[TreeEntry],
+    at: &mut usize,
+    path: &str,
+    bytes: &[u8],
+) -> Option<TreeEntry> {
+    while let Some(old) = previous.get(*at) {
+        // Bytes include the path, so equal bytes mean the same path —
+        // the common case, checked before any path comparison.
+        if *old.bytes == *bytes {
+            *at += 1;
+            return Some(old.clone());
+        }
+        match walk_order(old.path(), path) {
+            // Gone from the new tree.
+            std::cmp::Ordering::Less => *at += 1,
+            // Same path, changed encoding.
+            std::cmp::Ordering::Equal => {
+                *at += 1;
+                return None;
+            }
+            // New in this tree.
+            std::cmp::Ordering::Greater => return None,
+        }
+    }
+    None
+}
+
+/// Frame entry bytes as a complete canonical tree record —
+/// byte-identical to what [`encode_tree`] produces from the live
+/// filesystem.
+pub fn assemble_tree_record<'a>(entries: impl ExactSizeIterator<Item = &'a [u8]>) -> Vec<u8> {
     let mut enc = Enc::new(TREE_MAGIC);
     enc.u64(entries.len() as u64);
     let mut out = enc.finish();
-    for entry in entries {
-        out.extend_from_slice(&entry.bytes);
+    for bytes in entries {
+        out.extend_from_slice(bytes);
     }
     out
 }
@@ -174,7 +230,7 @@ pub fn hash_tree_record(entries: &[TreeEntry]) -> String {
     let mut sha = zr_digest::Sha256::new();
     sha.update(&enc.finish());
     for entry in entries {
-        sha.update(&entry.bytes);
+        sha.update(entry.bytes());
     }
     zr_digest::hex(&sha.finalize())
 }
@@ -189,8 +245,9 @@ pub fn split_tree_record(bytes: &[u8]) -> Result<Vec<TreeEntry>> {
     for _ in 0..count {
         let start = dec.pos();
         let path = dec.str()?;
+        let path_end = dec.pos() - start;
         let kind = dec.u8()?;
-        let mut file_digest = None;
+        let mut digest = None;
         let has_metadata = match kind {
             KIND_HARDLINK => {
                 dec.str()?;
@@ -198,7 +255,9 @@ pub fn split_tree_record(bytes: &[u8]) -> Result<Vec<TreeEntry>> {
             }
             KIND_DIR | KIND_FIFO | KIND_SOCKET => true,
             KIND_FILE => {
-                file_digest = Some(dec.str()?);
+                let at = dec.pos() + 8 - start;
+                let len = dec.str()?.len();
+                digest = Some(at..at + len);
                 dec.u64()?;
                 true
             }
@@ -228,9 +287,9 @@ pub fn split_tree_record(bytes: &[u8]) -> Result<Vec<TreeEntry>> {
             }
         }
         entries.push(TreeEntry {
-            path,
-            bytes: bytes[start..dec.pos()].to_vec(),
-            file_digest,
+            bytes: Arc::from(&bytes[start..dec.pos()]),
+            path_end,
+            digest,
         });
     }
     dec.done()?;
@@ -244,17 +303,18 @@ pub fn split_tree_record(bytes: &[u8]) -> Result<Vec<TreeEntry>> {
 /// Delta reconstruction re-sorts patched entries with this comparator
 /// so the reassembled record is byte-identical to a fresh encoding.
 pub(crate) fn walk_order(a: &str, b: &str) -> std::cmp::Ordering {
+    if a == b {
+        return std::cmp::Ordering::Equal;
+    }
     a.split('/')
         .filter(|c| !c.is_empty())
         .cmp(b.split('/').filter(|c| !c.is_empty()))
 }
 
 /// Encode `fs` as a complete tree record (see [`encode_tree_entries`]).
-pub fn encode_tree(
-    fs: &Fs,
-    store_blob: impl FnMut(&Arc<Blob>) -> Result<String>,
-) -> Result<Vec<u8>> {
-    Ok(assemble_tree_record(&encode_tree_entries(fs, store_blob)?))
+pub fn encode_tree(fs: &Fs, on_blob: impl FnMut(&Arc<Blob>)) -> Vec<u8> {
+    let entries = encode_tree_entries(fs, &[], on_blob);
+    assemble_tree_record(entries.iter().map(TreeEntry::bytes))
 }
 
 /// One deferred metadata fix-up (applied after the whole structure
@@ -423,11 +483,8 @@ mod tests {
         let fs = sample_fs();
         let mut blobs: HashMap<String, Arc<Blob>> = HashMap::new();
         let record = encode_tree(&fs, |blob| {
-            let digest = blob.sha_hex();
-            blobs.insert(digest.clone(), Arc::clone(blob));
-            Ok(digest)
-        })
-        .unwrap();
+            blobs.insert(blob.sha_hex(), Arc::clone(blob));
+        });
         let rebuilt = decode_tree(&record, |digest| {
             blobs
                 .get(digest)
@@ -466,24 +523,187 @@ mod tests {
     #[test]
     fn encoding_is_canonical() {
         let fs = sample_fs();
-        let enc = |fs: &Fs| encode_tree(fs, |blob| Ok(blob.sha_hex())).unwrap();
+        let enc = |fs: &Fs| encode_tree(fs, |_| {});
         assert_eq!(enc(&fs), enc(&fs.clone()));
     }
 
     #[test]
     fn split_and_assemble_invert_each_other() {
         let fs = sample_fs();
-        let entries = encode_tree_entries(&fs, |blob| Ok(blob.sha_hex())).unwrap();
-        let record = assemble_tree_record(&entries);
-        assert_eq!(record, encode_tree(&fs, |blob| Ok(blob.sha_hex())).unwrap());
+        let entries = encode_tree_entries(&fs, &[], |_| {});
+        let record = assemble_tree_record(entries.iter().map(TreeEntry::bytes));
+        assert_eq!(record, encode_tree(&fs, |_| {}));
         let split = split_tree_record(&record).unwrap();
         assert_eq!(split, entries);
-        assert_eq!(assemble_tree_record(&split), record);
+        assert_eq!(
+            assemble_tree_record(split.iter().map(TreeEntry::bytes)),
+            record
+        );
         // The hardlink entry carries no digest; its first path does.
-        let bak = split.iter().find(|e| e.path == "/etc/passwd.bak").unwrap();
-        assert!(bak.file_digest.is_none());
-        let first = split.iter().find(|e| e.path == "/etc/passwd").unwrap();
-        assert!(first.file_digest.is_some());
+        let bak = split
+            .iter()
+            .find(|e| e.path() == "/etc/passwd.bak")
+            .unwrap();
+        assert!(bak.file_digest().is_none());
+        let first = split.iter().find(|e| e.path() == "/etc/passwd").unwrap();
+        let blob = fs.read_file_blob("/etc/passwd", &Access::root()).unwrap();
+        assert_eq!(first.file_digest(), Some(blob.sha_hex().as_str()));
+    }
+
+    /// The entry encoding as it was done over `walk_paths`, through
+    /// the path-and-ino accessors.
+    fn encode_by_walk_paths(fs: &Fs) -> Vec<(String, Vec<u8>, Option<String>)> {
+        use zr_syscalls::mode::{S_IFBLK, S_IFCHR, S_IFIFO, S_IFLNK, S_IFREG, S_IFSOCK};
+        let root = Access::root();
+        let mut entries: Vec<(String, Vec<u8>, Option<String>)> = Vec::new();
+        let mut first_entry: HashMap<u64, usize> = HashMap::new();
+        for (path, st) in fs.walk_paths(&root) {
+            let mut enc = Enc::raw();
+            let mut file_digest = None;
+            enc.str(&path);
+            let kind_bits = st.mode & S_IFMT;
+            if kind_bits != S_IFDIR {
+                if let Some(&earlier) = first_entry.get(&st.ino) {
+                    enc.u8(KIND_HARDLINK);
+                    enc.str(&entries[earlier].0);
+                    entries.push((path, enc.finish(), None));
+                    continue;
+                }
+                first_entry.insert(st.ino, entries.len());
+            }
+            match kind_bits {
+                S_IFDIR => {
+                    enc.u8(KIND_DIR);
+                }
+                S_IFREG => {
+                    let blob = fs.file_blob(st.ino).unwrap();
+                    enc.u8(KIND_FILE);
+                    enc.str(&blob.sha_hex());
+                    enc.u64(blob.len() as u64);
+                    file_digest = Some(blob.sha_hex());
+                }
+                S_IFLNK => {
+                    enc.u8(KIND_SYMLINK);
+                    enc.str(&fs.symlink_target(st.ino).unwrap());
+                }
+                S_IFCHR => {
+                    enc.u8(KIND_CHARDEV);
+                    enc.u64(st.rdev);
+                }
+                S_IFBLK => {
+                    enc.u8(KIND_BLOCKDEV);
+                    enc.u64(st.rdev);
+                }
+                S_IFIFO => {
+                    enc.u8(KIND_FIFO);
+                }
+                S_IFSOCK => {
+                    enc.u8(KIND_SOCKET);
+                }
+                other => panic!("unexpected type {other:o}"),
+            }
+            enc.u32(st.mode & 0o7777);
+            enc.u32(st.uid);
+            enc.u32(st.gid);
+            enc.u64(st.mtime);
+            let xattrs = fs.list_xattr(st.ino).unwrap();
+            enc.u64(xattrs.len() as u64);
+            for name in xattrs {
+                enc.str(&name);
+                enc.bytes(&fs.get_xattr(st.ino, &name).unwrap());
+            }
+            entries.push((path, enc.finish(), file_digest));
+        }
+        entries
+    }
+
+    /// Encoder output in the reference's shape.
+    fn triples(entries: &[TreeEntry]) -> Vec<(String, Vec<u8>, Option<String>)> {
+        entries
+            .iter()
+            .map(|e| {
+                let digest = e.file_digest().map(str::to_string);
+                (e.path().to_string(), e.bytes().to_vec(), digest)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn encoder_matches_walk_paths_encoding() {
+        let root = Access::root();
+        for seed in 0..32u64 {
+            let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+            let mut next = move |n: u64| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng % n
+            };
+            let mut fs = sample_fs();
+            let names = ["/etc/a", "/etc/conf.d/b", "/c", "/etc/passwd", "/d/e", "/d"];
+            for step in 0..40 {
+                let path = names[next(names.len() as u64) as usize];
+                let other = names[next(names.len() as u64) as usize];
+                let _ = match next(8) {
+                    0 => fs.mkdir(path, 0o755, &root).map(|_| ()),
+                    1 => fs
+                        .write_file(path, 0o644, format!("{seed}-{step}").into_bytes(), &root)
+                        .map(|_| ()),
+                    2 => fs.link(other, path, &root),
+                    3 => fs.unlink(path, &root),
+                    4 => fs.rename(other, path, &root),
+                    5 => fs.symlink(other, path, &root).map(|_| ()),
+                    6 => fs
+                        .resolve(path, &root, FollowMode::NoFollow)
+                        .and_then(|ino| fs.set_xattr(ino, &format!("user.k{}", next(3)), b"v")),
+                    _ => fs
+                        .resolve(path, &root, FollowMode::NoFollow)
+                        .and_then(|ino| fs.set_perm(ino, [0o755, 0o600, 0o000][next(3) as usize])),
+                };
+            }
+            let want = encode_by_walk_paths(&fs);
+            let fresh = encode_tree_entries(&fs, &[], |_| {});
+            assert_eq!(triples(&fresh), want, "seed {seed}");
+            // Sharing a similar tree's entries never changes the output,
+            // and every shared entry really is byte-identical.
+            let base = encode_tree_entries(&sample_fs(), &[], |_| {});
+            let shared = encode_tree_entries(&fs, &base, |_| {});
+            assert_eq!(triples(&shared), want, "seed {seed}, sharing");
+            assert_eq!(split_tree_record(&encode_tree(&fs, |_| {})).unwrap(), fresh);
+        }
+    }
+
+    #[test]
+    fn unchanged_entries_share_the_previous_bytes() {
+        let root = Access::root();
+        let fs = sample_fs();
+        let parent = encode_tree_entries(&fs, &[], |_| {});
+        let mut child_fs = fs.clone();
+        child_fs
+            .write_file("/etc/conf.d/app", 0o600, b"changed".to_vec(), &root)
+            .unwrap();
+        child_fs.mkdir("/new", 0o755, &root).unwrap();
+        child_fs.unlink("/fifo", &root).unwrap();
+        let child = encode_tree_entries(&child_fs, &parent, |_| {});
+        let fresh = encode_tree_entries(&child_fs, &[], |_| {});
+        assert_eq!(child, fresh);
+        for entry in &child {
+            let before = parent.iter().find(|p| p.path() == entry.path());
+            let same = before.is_some_and(|p| p.bytes() == entry.bytes());
+            assert_eq!(
+                before.is_some_and(|p| p.shares_bytes_with(entry)),
+                same,
+                "{}",
+                entry.path()
+            );
+        }
+        // The edited file (and its parent directory's mtime) changed;
+        // the new directory is new; most entries are shared.
+        let shared = child
+            .iter()
+            .filter(|e| parent.iter().any(|p| p.shares_bytes_with(e)))
+            .count();
+        assert!(shared >= child.len() - 4, "{shared} of {}", child.len());
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::sync::{Arc, Mutex};
 use crate::access::{permitted, Access, Want};
 use crate::blob::Blob;
 use crate::inode::{FileKind, Ino, Inode, Metadata, Stat};
-use crate::path::{components, join, normalize, split_parent, valid_name};
+use crate::path::{components, normalize, split_parent, valid_name};
 use zr_digest::{FieldDigest, Sha256};
 use zr_syscalls::Errno;
 
@@ -334,30 +334,22 @@ impl Fs {
     }
 
     fn tree_digest_with(&self, blob_sha: impl Fn(&Arc<Blob>) -> [u8; 32]) -> String {
-        use zr_syscalls::mode::{S_IFLNK, S_IFMT, S_IFREG};
-        let root = Access::root();
         let mut d = FieldDigest::new("zr-tree-v1");
-        for (path, st) in self.walk_paths(&root) {
+        self.walk(&Access::root(), None, |path, _, node| {
             d.field(path.as_bytes())
-                .field(&st.mode.to_be_bytes())
-                .field(&st.uid.to_be_bytes())
-                .field(&st.gid.to_be_bytes());
-            match st.mode & S_IFMT {
-                S_IFLNK => {
-                    if let Ok(target) = self.readlink(&path, &root) {
-                        d.field(target.as_bytes());
-                    }
+                .field(&node.st_mode().to_be_bytes())
+                .field(&node.meta.uid.to_be_bytes())
+                .field(&node.meta.gid.to_be_bytes());
+            match &node.kind {
+                FileKind::Symlink(target) => {
+                    d.field(target.as_bytes());
                 }
-                S_IFREG => {
-                    if let Ok(inode) = self.inode(st.ino) {
-                        if let FileKind::File(blob) = &inode.kind {
-                            d.field(&blob_sha(blob));
-                        }
-                    }
+                FileKind::File(blob) => {
+                    d.field(&blob_sha(blob));
                 }
                 _ => {}
             }
-        }
+        });
         d.finish()
     }
 
@@ -828,17 +820,7 @@ impl Fs {
 
     /// Stat by inode (no permission check — matches fstat semantics).
     pub fn stat_ino(&self, ino: Ino) -> Stat {
-        let node = self.inode(ino).expect("stat_ino on live inode");
-        Stat {
-            ino,
-            mode: node.st_mode(),
-            uid: node.meta.uid,
-            gid: node.meta.gid,
-            size: node.kind.size(),
-            nlink: node.meta.nlink,
-            rdev: node.rdev(),
-            mtime: node.meta.mtime,
-        }
+        stat_of(ino, self.inode(ino).expect("stat_ino on live inode"))
     }
 
     // ---- removal -------------------------------------------------------------
@@ -1039,7 +1021,7 @@ impl Fs {
     /// reproducible digests and size accounting on top of this one
     /// walk instead of each hand-rolling their own.
     pub fn walk_paths(&self, access: &Access) -> Vec<(String, Stat)> {
-        self.walk_paths_with(access, Self::read_dir_sorted)
+        self.walk_paths_with(access, None)
     }
 
     /// [`walk_paths`](Self::walk_paths), but honoring the *observed*
@@ -1047,32 +1029,75 @@ impl Fs {
     /// on-disk order would traverse. Identical to `walk_paths` unless a
     /// readdir shuffle is injected.
     pub fn walk_paths_readdir(&self, access: &Access) -> Vec<(String, Stat)> {
-        self.walk_paths_with(access, Self::read_dir)
+        self.walk_paths_with(access, self.nondet.shuffle_readdir)
     }
 
-    fn walk_paths_with(
+    fn walk_paths_with(&self, access: &Access, shuffle: Option<u64>) -> Vec<(String, Stat)> {
+        let mut out = Vec::new();
+        self.walk(access, shuffle, |path, ino, node| {
+            out.push((path.to_string(), stat_of(ino, node)));
+        });
+        out
+    }
+
+    /// [`walk_paths`](Self::walk_paths) without collecting: calls
+    /// `visit(path, ino, inode)` for each path in the same order, with
+    /// the path borrowed for the call only. For serializers that read
+    /// the inode anyway and would otherwise look it up again per path.
+    pub fn for_each_path(&self, access: &Access, visit: impl FnMut(&str, Ino, &Inode)) {
+        self.walk(access, None, visit);
+    }
+
+    /// The one tree walk under [`walk_paths`](Self::walk_paths),
+    /// [`for_each_path`](Self::for_each_path) and
+    /// [`tree_digest`](Self::tree_digest): depth-first pre-order from
+    /// `/`, symlinks not followed.
+    ///
+    /// It visits exactly what resolving each path from `/` as `access`
+    /// would reach — a directory's entries appear only if `access` may
+    /// both list it (r) and search it (x) — but walks the inodes
+    /// directly: each directory's entry map is already sorted, and one
+    /// path string grows and shrinks in place, so nothing is
+    /// re-resolved from `/` or re-sorted. `shuffle` reorders each
+    /// directory the way an injected readdir shuffle does.
+    fn walk(
         &self,
         access: &Access,
-        read: impl Fn(&Self, &str, &Access) -> Result<Vec<(String, Ino)>, Errno>,
-    ) -> Vec<(String, Stat)> {
-        let mut out = Vec::new();
-        let mut stack = vec!["/".to_string()];
-        while let Some(path) = stack.pop() {
-            let Ok(st) = self.stat(&path, access, FollowMode::NoFollow) else {
+        shuffle: Option<u64>,
+        mut visit: impl FnMut(&str, Ino, &Inode),
+    ) {
+        let mut path = String::new();
+        let mut children: Vec<(&str, Ino)> = Vec::new();
+        // (length of the parent's path, entry name, inode); the root
+        // has no parent path and an empty name.
+        let mut stack: Vec<(usize, &str, Ino)> = vec![(0, "", self.root())];
+        while let Some((parent_len, name, ino)) = stack.pop() {
+            let Ok(node) = self.inode(ino) else {
                 continue;
             };
-            if st.mode & zr_syscalls::mode::S_IFMT == zr_syscalls::mode::S_IFDIR {
-                if let Ok(entries) = read(self, &path, access) {
-                    // Reverse push keeps the pop order equal to the
-                    // read order.
-                    for (name, _) in entries.iter().rev() {
-                        stack.push(join(&path, name));
-                    }
-                }
+            path.truncate(parent_len);
+            if !path.ends_with('/') {
+                path.push('/');
             }
-            out.push((path, st));
+            path.push_str(name);
+            visit(&path, ino, node);
+            let FileKind::Dir { entries, .. } = &node.kind else {
+                continue;
+            };
+            let (uid, gid, perm) = (node.meta.uid, node.meta.gid, node.meta.perm);
+            if !permitted(access, uid, gid, perm, Want::R)
+                || !permitted(access, uid, gid, perm, Want::X)
+            {
+                continue;
+            }
+            children.clear();
+            children.extend(entries.iter().map(|(n, &i)| (n.as_str(), i)));
+            if let Some(seed) = shuffle {
+                shuffle_entries(&mut children, seed);
+            }
+            // Reverse push keeps the pop order equal to the read order.
+            stack.extend(children.iter().rev().map(|&(n, i)| (path.len(), n, i)));
         }
-        out
     }
 
     /// `mkdir -p` as filesystem-owner root: used when materializing image
@@ -1098,13 +1123,27 @@ impl Fs {
     }
 }
 
+/// What `stat` reports for inode `ino`.
+fn stat_of(ino: Ino, node: &Inode) -> Stat {
+    Stat {
+        ino,
+        mode: node.st_mode(),
+        uid: node.meta.uid,
+        gid: node.meta.gid,
+        size: node.kind.size(),
+        nlink: node.meta.nlink,
+        rdev: node.rdev(),
+        mtime: node.meta.mtime,
+    }
+}
+
 /// Deterministic "on-disk order": sort entries by a seeded hash of the
 /// name. Different seeds give different permutations; the same seed
 /// always gives the same one, so shuffled-readdir tests replay exactly.
-fn shuffle_entries(entries: &mut [(String, Ino)], seed: u64) {
+fn shuffle_entries<S: AsRef<str>>(entries: &mut [(S, Ino)], seed: u64) {
     entries.sort_by_key(|(name, _)| {
         let mut h = seed ^ 0x9e37_79b9_7f4a_7c15;
-        for &b in name.as_bytes() {
+        for &b in name.as_ref().as_bytes() {
             h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
             h ^= h >> 29;
         }
@@ -1115,6 +1154,7 @@ fn shuffle_entries(entries: &mut [(String, Ino)], seed: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::path::join;
 
     fn root() -> Access {
         Access::root()
@@ -1643,6 +1683,176 @@ mod tests {
         let ino = fs.resolve("/f", &root(), FollowMode::Follow).unwrap();
         fs.set_mtime(ino, 9999).unwrap();
         assert_eq!(fs.tree_digest(), d2);
+    }
+
+    /// The path walk as it was done before [`Fs::walk`]: every path
+    /// re-resolved and re-stat'ed from `/`, every directory listed
+    /// through `read_dir_sorted` (or `read_dir` when `readdir_order`).
+    fn walk_by_resolving(fs: &Fs, access: &Access, readdir_order: bool) -> Vec<(String, Stat)> {
+        let mut out = Vec::new();
+        let mut stack = vec!["/".to_string()];
+        while let Some(path) = stack.pop() {
+            let Ok(st) = fs.stat(&path, access, FollowMode::NoFollow) else {
+                continue;
+            };
+            if st.mode & zr_syscalls::mode::S_IFMT == zr_syscalls::mode::S_IFDIR {
+                let listed = if readdir_order {
+                    fs.read_dir(&path, access)
+                } else {
+                    fs.read_dir_sorted(&path, access)
+                };
+                if let Ok(entries) = listed {
+                    for (name, _) in entries.iter().rev() {
+                        stack.push(join(&path, name));
+                    }
+                }
+            }
+            out.push((path, st));
+        }
+        out
+    }
+
+    /// The tree digest as it was computed over that walk: symlink
+    /// targets through `readlink`, payloads by path-resolved inode.
+    fn tree_digest_by_resolving(fs: &Fs) -> String {
+        use zr_syscalls::mode::{S_IFLNK, S_IFMT, S_IFREG};
+        let mut d = FieldDigest::new("zr-tree-v1");
+        for (path, st) in walk_by_resolving(fs, &root(), false) {
+            d.field(path.as_bytes())
+                .field(&st.mode.to_be_bytes())
+                .field(&st.uid.to_be_bytes())
+                .field(&st.gid.to_be_bytes());
+            match st.mode & S_IFMT {
+                S_IFLNK => {
+                    if let Ok(target) = fs.readlink(&path, &root()) {
+                        d.field(target.as_bytes());
+                    }
+                }
+                S_IFREG => {
+                    if let Ok(blob) = fs.file_blob(st.ino) {
+                        d.field(blob.sha_bytes());
+                    }
+                }
+                _ => {}
+            }
+        }
+        d.finish()
+    }
+
+    /// A seeded random tree: nested directories (some not searchable),
+    /// files, hard links, dangling and live symlinks, devices, fifos,
+    /// renames, unlinks and ownership changes.
+    fn random_tree(seed: u64) -> Fs {
+        let mut rng = seed | 1;
+        let mut next = move |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        let mut fs = Fs::new();
+        let mut dirs = vec!["/".to_string()];
+        let mut files: Vec<String> = Vec::new();
+        let names = [
+            "a", "b", "bin", "etc", "lib", "x.conf", "Z", "a-b", "a.b", "aa",
+        ];
+        for _ in 0..120 {
+            let dir = dirs[next(dirs.len() as u64) as usize].clone();
+            let name = names[next(names.len() as u64) as usize];
+            let path = join(&dir, name);
+            match next(9) {
+                0 | 1 => {
+                    if fs.mkdir(&path, 0o755, &root()).is_ok() {
+                        dirs.push(path);
+                    }
+                }
+                2 | 3 => {
+                    let len = next(300) as usize;
+                    let data = (0..len).map(|i| (i as u64 ^ seed) as u8).collect();
+                    if fs.write_file(&path, 0o644, data, &root()).is_ok() {
+                        files.push(path);
+                    }
+                }
+                4 if !files.is_empty() => {
+                    let target = &files[next(files.len() as u64) as usize];
+                    let _ = fs.link(target, &path, &root());
+                }
+                5 => {
+                    let target = match next(3) {
+                        0 => "../etc".to_string(),
+                        1 => format!("/{}", names[next(names.len() as u64) as usize]),
+                        _ => "dangling/nowhere".to_string(),
+                    };
+                    let _ = fs.symlink(&target, &path, &root());
+                }
+                6 => {
+                    let kind = if next(2) == 0 {
+                        FileKind::Fifo
+                    } else {
+                        FileKind::CharDev(next(1 << 16))
+                    };
+                    let _ = fs.mknod(&path, kind, 0o600, &root());
+                }
+                7 if !files.is_empty() => {
+                    let victim = files[next(files.len() as u64) as usize].clone();
+                    if next(2) == 0 {
+                        let _ = fs.unlink(&victim, &root());
+                    } else {
+                        let _ = fs.rename(&victim, &path, &root());
+                    }
+                }
+                _ => {
+                    if let Ok(ino) = fs.resolve(&path, &root(), FollowMode::NoFollow) {
+                        let _ = fs.set_owner(ino, next(3) as u32 * 1000, next(2) as u32);
+                    }
+                }
+            }
+        }
+        // Permission changes last, so later creations were not blocked:
+        // a directory without any x bit hides its entries from root's
+        // walk, setuid/sticky bits ride along in the mode.
+        for dir in dirs.iter().skip(1) {
+            if let Ok(ino) = fs.resolve(dir, &root(), FollowMode::NoFollow) {
+                let perm =
+                    [0o755, 0o700, 0o1777, 0o644, 0o000, 0o4711, 0o751, 0o705][next(8) as usize];
+                fs.set_perm(ino, perm).unwrap();
+            }
+        }
+        fs
+    }
+
+    #[test]
+    fn inode_walk_matches_resolving_walk() {
+        let accesses = [root(), Access::user(1000, 1), Access::user(0, 0)];
+        for seed in 0..64 {
+            let mut fs = random_tree(seed * 0x9e37_79b9 + 1);
+            let want = tree_digest_by_resolving(&fs);
+            assert_eq!(fs.tree_digest_uncached(), want, "seed {seed}");
+            assert_eq!(fs.tree_digest(), want, "seed {seed}");
+            for access in &accesses {
+                assert_eq!(
+                    fs.walk_paths(access),
+                    walk_by_resolving(&fs, access, false),
+                    "seed {seed}, {access:?}"
+                );
+            }
+            fs.set_nondeterminism(Nondeterminism {
+                shuffle_readdir: Some(seed),
+                ..Nondeterminism::default()
+            });
+            for access in &accesses {
+                assert_eq!(
+                    fs.walk_paths_readdir(access),
+                    walk_by_resolving(&fs, access, true),
+                    "seed {seed}, shuffled, {access:?}"
+                );
+            }
+        }
+        // The root itself losing its x bits hides everything below it.
+        let mut fs = random_tree(3);
+        fs.set_perm(fs.root(), 0o600).unwrap();
+        assert_eq!(fs.tree_digest(), tree_digest_by_resolving(&fs));
+        assert_eq!(fs.walk_paths(&root()).len(), 1);
     }
 
     #[test]
