@@ -545,6 +545,12 @@ fn main() {
     //
     // (c) Store throughput: raw CAS blob write/read bandwidth, logged
     //     to BENCH_5.json for the cross-PR trajectory.
+    //
+    // (d) Counted replay: a warm rebuild of FIG1B plus a layer of 32
+    //     empty files reads each distinct payload digest of the image
+    //     once, plus the tree objects of its tip's delta chain (at most
+    //     one per replayed layer) — not one read per file entry. A
+    //     count, not a time, so it gates deterministically.
     let scratch = std::env::temp_dir().join(format!("zr-paper-oci-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&scratch);
     let cache_dir = scratch.join("cache");
@@ -583,6 +589,35 @@ fn main() {
     let from_disk =
         warm_stats.disk_hits == u64::from(warm.cache.hits) && second_disk.error_count() == 0;
 
+    // (d) Cold build into its own cache dir, then a fresh builder
+    //     replays it and the handle's read counter is checked.
+    let counted_dir = scratch.join("counted");
+    let touched: Vec<String> = (0..32).map(|i| format!("/srv/f{i}")).collect();
+    let counted_df = format!("{FIG1B}RUN mkdir -p /srv && touch {}\n", touched.join(" "));
+    let counted_cold = zr_build::Builder::with_cache_dir(&counted_dir)
+        .expect("open counted cache dir")
+        .0
+        .build(&mut Kernel::default_kernel(), &counted_df, &oci_opts);
+    let (mut replayer, replay_disk) =
+        zr_build::Builder::with_cache_dir(&counted_dir).expect("reopen counted cache dir");
+    let replay = replayer.build(&mut Kernel::default_kernel(), &counted_df, &oci_opts);
+    let replay_reads = replay_disk.cas().stats().reads;
+    let (mut file_entries, mut replay_payloads) = (0u64, std::collections::HashSet::new());
+    if let Some(img) = &replay.image {
+        img.fs.for_each_path(&zr_vfs::Access::root(), |_, _, node| {
+            if let zr_vfs::FileKind::File(blob) = &node.kind {
+                file_entries += 1;
+                replay_payloads.insert(*blob.sha_bytes());
+            }
+        });
+    }
+    let chain_objects = u64::from(replay.cache.hits);
+    let reads_counted = counted_cold.success
+        && replay.success
+        && replay.cache.misses == 0
+        && replay_reads <= replay_payloads.len() as u64 + chain_objects;
+    metrics.push(("o_oci.replay_reads".into(), replay_reads as f64));
+
     // (c) CAS bandwidth: 256 distinct 16 KiB blobs, then read back.
     let cas = zr_store::Cas::open(scratch.join("bench-cas")).expect("open bench cas");
     let payloads: Vec<Vec<u8>> = (0..256u32)
@@ -615,12 +650,19 @@ fn main() {
     checks.push(Check {
         id: "O-oci",
         paper: "export → import reproduces Image::digest byte-identically; a second process \
-                on the same --cache-dir replays fully warm (0 misses, 0 spawns, 0 pulls)",
+                on the same --cache-dir replays fully warm (0 misses, 0 spawns, 0 pulls) \
+                reading each distinct payload once",
         measured: format!(
             "roundtrip-digest-equal={roundtrip} (export {t_export:.2?}, import {t_import:.2?}); \
              warm: {} with digest-equal={warm_digest_ok}, executed-anything={}, \
-             disk-hits={}/{}; store {write_mbps:.0}/{read_mbps:.0} MB/s write/read",
-            warm.cache, !executed_nothing, warm_stats.disk_hits, warm.cache.hits,
+             disk-hits={}/{}; counted replay: {replay_reads} reads <= {} distinct payloads + \
+             {chain_objects} chain objects ({file_entries} file entries): {reads_counted}; \
+             store {write_mbps:.0}/{read_mbps:.0} MB/s write/read",
+            warm.cache,
+            !executed_nothing,
+            warm_stats.disk_hits,
+            warm.cache.hits,
+            replay_payloads.len(),
         ),
         pass: export_ok
             && roundtrip
@@ -629,6 +671,7 @@ fn main() {
             && warm_digest_ok
             && executed_nothing
             && from_disk
+            && reads_counted
             && bandwidth_sane,
     });
 

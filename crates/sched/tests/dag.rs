@@ -5,6 +5,7 @@ use std::time::Duration;
 
 use zeroroot_core::Mode;
 use zr_build::BuildOptions;
+use zr_fault::{points, FaultPlan};
 use zr_image::PullCost;
 use zr_sched::{
     BatchHandle, BuildReport, BuildRequest, BuildStatus, Daemon, LogEvent, Scheduler,
@@ -77,21 +78,21 @@ fn diamond_parallel_digest_and_log_match_serial() {
 
 #[test]
 fn diamond_overlaps_independent_stages() {
-    // left and right are released together once base lands; with
-    // enough workers they must run concurrently at least once in a
-    // few cold attempts (each attempt uses a fresh scheduler so the
-    // stages actually execute rather than replay).
-    let mut peak = 0;
-    for _ in 0..5 {
-        let sched = scheduler(8);
-        let handle = sched.submit(vec![diamond_request("d")]);
-        let mut steals = 0;
-        let reports = wait_tracking(handle, &mut peak, &mut steals);
-        assert_eq!(reports[0].status, BuildStatus::Done);
-        if peak >= 2 {
-            break;
-        }
-    }
+    // left and right are released together once base lands. Stages
+    // finish far too fast to overlap by chance, so every stage task
+    // parks for 50 ms before it runs. The parked task already counts
+    // on the concurrency gauge (`run_task` raises it before the task
+    // body, where the stall hook sits), so with 8 workers the two
+    // middle stages are in flight together on every run. (The plan is
+    // process-wide: another test of this binary running meanwhile
+    // stalls too, which only slows it.)
+    let _stall =
+        zr_fault::install(&FaultPlan::new().counted(points::SCHED_STAGE_STALL, u64::MAX, 0, 50));
+    let sched = scheduler(8);
+    let handle = sched.submit(vec![diamond_request("d")]);
+    let (mut peak, mut steals) = (0, 0);
+    let reports = wait_tracking(handle, &mut peak, &mut steals);
+    assert_eq!(reports[0].status, BuildStatus::Done);
     assert!(peak >= 2, "independent stages never overlapped: {peak}");
 }
 

@@ -87,11 +87,12 @@ const CONFIG_MAGIC: &str = "zr-config-v1";
 /// destination and its bytes, made durable with a single fsync.
 const PACK_MAGIC: &str = "zr-pack-v1";
 
-/// Usage counters for one [`Cas`] handle plus the open-time census.
+/// Usage counters for one [`Cas`] handle plus the store census taken
+/// when the handle builds its index (see [`Cas::open`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CasStats {
-    /// Blob objects present (open-time census plus this handle's
-    /// writes). Chunk objects count individually.
+    /// Blob objects present (the census plus this handle's writes).
+    /// Chunk objects count individually.
     pub blobs: u64,
     /// Payload bytes present across blob objects.
     pub bytes: u64,
@@ -124,11 +125,11 @@ pub struct CasStats {
     pub dir_fsync_failures: u64,
     /// Stray staging files deleted at open (crash leftovers).
     pub recovered_tmp: u64,
-    /// Unparseable records quarantined at open: root pins (their
-    /// layers read as cache misses and re-persist on the next build —
-    /// the same self-healing path a corrupt layer record takes) and
-    /// the store config record (the store reopens unbounded; the next
-    /// `set_budget` rewrites it).
+    /// Unparseable records quarantined: root pins, when the index is
+    /// built (their layers read as cache misses and re-persist on the
+    /// next build — the same self-healing path a corrupt layer record
+    /// takes), and the store config record, at open (the store reopens
+    /// unbounded; the next `set_budget` rewrites it).
     pub corrupt_roots: u64,
 }
 
@@ -184,18 +185,30 @@ struct RootMeta {
 
 #[derive(Debug, Default)]
 struct CasState {
+    /// Has this handle taken the blob/chunk census and loaded the pin
+    /// records? Deferred from open to the first operation that needs
+    /// them (see [`Cas::open`]). Until it is set, `refs`, `roots`,
+    /// `known`, `index_bytes`, `pin_clock` and the census counts in
+    /// `stats` are empty.
+    indexed: bool,
     /// digest → number of roots pinning it.
     refs: HashMap<String, u64>,
     /// root name → pin record (to diff on re-pin, to order eviction).
     roots: HashMap<String, RootMeta>,
-    /// Digests this handle knows are on disk (open-time census plus
-    /// every put since). A hot-path `put` of known content is one hash
-    /// lookup, not a `stat(2)` — the per-instruction persist of a
-    /// mostly-unchanged tree touches the filesystem only for new
+    /// Digests this handle knows are on disk: the census taken when
+    /// the index is built (at the first put, batch, pin or other index
+    /// operation — not at open, so a read-only session never pays for
+    /// it) plus every put since. A hot-path `put` of known content is
+    /// one hash lookup, not a `stat(2)` — the per-instruction persist
+    /// of a mostly-unchanged tree touches the filesystem only for new
     /// blobs. Misses still fall through to a real existence check, so
     /// a sibling process's writes are never re-done either. Logical
     /// digests of chunked blobs are known too.
     known: HashSet<String>,
+    /// Digests whose stored object failed verification on a read
+    /// through this handle. Never in `known`, never dedup-skipped: the
+    /// next put of the content rewrites the object in place.
+    damaged: HashSet<String>,
     /// Bytes held by chunk-index records (part of physical_bytes).
     index_bytes: u64,
     /// Monotonic pin counter — the LRU clock for budget eviction.
@@ -215,6 +228,10 @@ impl CasState {
 struct CasInner {
     root: PathBuf,
     state: Mutex<CasState>,
+    /// Read counters ([`CasStats::reads`] / [`CasStats::read_bytes`]),
+    /// kept outside `state` so a read never waits on an index build.
+    reads: AtomicU64,
+    read_bytes: AtomicU64,
 }
 
 /// A handle on a persistent content-addressed store. Cloning shares
@@ -330,20 +347,34 @@ impl Cas {
     /// Open (or create) a store rooted at `dir`.
     ///
     /// Creation writes the `format` version file; reopening verifies
-    /// it. Stray staging files from a crashed writer are removed, the
-    /// blob and chunk-index census is taken, and every root pin record
-    /// is loaded into the in-memory refcount index.
+    /// it. The persisted config (the byte budget) is restored, and
+    /// stray staging files from a crashed writer are removed — a dead
+    /// writer's write-ahead pack is replayed first.
+    ///
+    /// The in-memory *index* — the blob and chunk-index census behind
+    /// [`stats`](Self::stats) and the put fast path, and the pin
+    /// records behind the refcounts — is not built here. It is built
+    /// once, by the first operation that needs it: a put, a batch, a
+    /// pin, gc, `stats`, `roots`, `refcount`, `pinned`, or budget
+    /// enforcement. (An unpin needs none: a record removed before the
+    /// index exists is simply never counted.) Reads (`get`,
+    /// `get_blob`, `contains`, layer records) never build it, so a
+    /// read-only session — a no-op rebuild on a warm `--cache-dir` —
+    /// opens in a handful of syscalls however large the store is. A
+    /// corrupt pin record is quarantined when the index is built. A
+    /// store with a recorded budget is indexed (and trimmed to the
+    /// budget) right here.
     pub fn open(dir: impl AsRef<Path>) -> Result<Cas> {
         let root = dir.as_ref().to_path_buf();
-        fs::create_dir_all(root.join("blobs/sha256"))?;
-        fs::create_dir_all(root.join("chunks"))?;
-        fs::create_dir_all(root.join("tmp"))?;
-        fs::create_dir_all(root.join("roots"))?;
-        fs::create_dir_all(root.join("layers"))?;
+        for sub in ["blobs/sha256", "chunks", "tmp", "roots", "layers"] {
+            fs::create_dir_all(root.join(sub))?;
+        }
 
         let inner = CasInner {
             root,
             state: Mutex::new(CasState::default()),
+            reads: AtomicU64::new(0),
+            read_bytes: AtomicU64::new(0),
         };
         let cas = Cas {
             inner: Arc::new(inner),
@@ -409,73 +440,40 @@ impl Cas {
                 state.stats.recovered_tmp += 1;
             }
         }
-        // Blob census.
-        for entry in fs::read_dir(cas.inner.root.join("blobs/sha256"))?.flatten() {
-            if let Ok(meta) = entry.metadata() {
-                if meta.is_file() {
-                    state.stats.blobs += 1;
-                    state.stats.bytes += meta.len();
-                    state
-                        .known
-                        .insert(entry.file_name().to_string_lossy().into_owned());
-                }
-            }
-        }
-        // Chunk-index census: the logical digests are known (a re-put
-        // of the same large content is a pure dedup skip), the record
-        // bytes count toward the physical footprint.
-        for entry in fs::read_dir(cas.inner.root.join("chunks"))?.flatten() {
-            if let Ok(meta) = entry.metadata() {
-                if meta.is_file() {
-                    state.stats.chunk_indexes += 1;
-                    state.index_bytes += meta.len();
-                    state
-                        .known
-                        .insert(entry.file_name().to_string_lossy().into_owned());
-                }
-            }
-        }
-        // Refcount index from the pin records. A pin that does not
-        // parse must not brick the store: it is quarantined (removed)
-        // so its layer reads as a miss, re-executes, and re-pins —
-        // the same healing path a corrupt layer record takes. (Pins
-        // are written atomically, so this only happens under real
-        // on-disk corruption, not a crash.)
-        for entry in fs::read_dir(cas.inner.root.join("roots"))?.flatten() {
-            let name = entry.file_name().to_string_lossy().into_owned();
-            let bytes = match fs::read(entry.path()) {
-                Ok(bytes) => bytes,
-                // A sibling process unpinned (or quarantined) this
-                // root between our read_dir and read: skip it, the
-                // same outcome as iterating a moment later.
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
-                Err(e) => return Err(e.into()),
-            };
-            match decode_root(&bytes) {
-                Ok(meta) => {
-                    for d in &meta.digests {
-                        *state.refs.entry(d.clone()).or_insert(0) += 1;
-                    }
-                    state.pin_clock = state.pin_clock.max(meta.seq);
-                    state.roots.insert(name, meta);
-                }
-                Err(_) => {
-                    let _ = fs::remove_file(entry.path());
-                    // A layer record whose pin is gone would lose its
-                    // blobs to the next gc anyway; drop it now so the
-                    // miss is immediate instead of a later fetch error.
-                    let _ = fs::remove_file(cas.inner.root.join("layers").join(&name));
-                    state.stats.corrupt_roots += 1;
-                }
-            }
-        }
+        let budget = state.budget;
         drop(state);
         // A restored budget binds immediately: a store that grew past
         // its recorded ceiling while no handle was open (a sibling
         // process without the limit never existed — but crash timing
         // can leave one) is trimmed here, not on the next pin.
-        cas.enforce_budget()?;
+        if budget > 0 {
+            cas.enforce_budget()?;
+        }
         Ok(cas)
+    }
+
+    /// The state, with the index built: the blob/chunk census and the
+    /// pin records are loaded on the first call (per handle), under
+    /// the state lock, so every index operation sees one consistent
+    /// census. An I/O error leaves the handle unindexed; the next call
+    /// retries.
+    fn index(&self) -> Result<std::sync::MutexGuard<'_, CasState>> {
+        let mut state = self.lock();
+        if !state.indexed {
+            build_index(&self.inner.root, &mut state)?;
+        }
+        Ok(state)
+    }
+
+    /// [`index`](Self::index) for the infallible accessors: if the
+    /// index cannot be built (an I/O error scanning the store), they
+    /// report what this handle knows so far rather than fail.
+    fn index_or_lock(&self) -> std::sync::MutexGuard<'_, CasState> {
+        let mut state = self.lock();
+        if !state.indexed {
+            let _ = build_index(&self.inner.root, &mut state);
+        }
+        state
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, CasState> {
@@ -546,18 +544,19 @@ impl Cas {
         debug_assert!(valid_digest(digest));
         // Known-digest fast path: the per-instruction persist of a
         // mostly-unchanged tree must not stat every unchanged blob.
-        {
-            let mut state = self.lock();
+        let damaged = {
+            let mut state = self.index()?;
             if state.known.contains(digest) {
                 state.stats.dedup_skips += 1;
                 return Ok(());
             }
-        }
+            state.damaged.contains(digest)
+        };
         if data.len() >= CHUNK_THRESHOLD {
-            return self.put_chunked(digest, data);
+            return self.put_chunked(digest, data, damaged);
         }
         let path = self.blob_path(digest);
-        if path.exists() {
+        if !damaged && path.exists() {
             let mut state = self.lock();
             state.known.insert(digest.to_string());
             state.stats.dedup_skips += 1;
@@ -565,6 +564,7 @@ impl Cas {
         }
         self.write_record(&path, data)?;
         let mut state = self.lock();
+        state.damaged.remove(digest);
         state.known.insert(digest.to_string());
         state.stats.writes += 1;
         state.stats.written_bytes += data.len() as u64;
@@ -577,9 +577,9 @@ impl Cas {
     /// record named by the logical digest. Chunks that already exist
     /// (an earlier version of the same file, a sibling process) are
     /// not rewritten — that is the whole point.
-    fn put_chunked(&self, digest: &str, data: &[u8]) -> Result<()> {
+    fn put_chunked(&self, digest: &str, data: &[u8], damaged: bool) -> Result<()> {
         let index_path = self.chunk_index_path(digest);
-        if index_path.exists() {
+        if !damaged && index_path.exists() {
             let mut state = self.lock();
             state.known.insert(digest.to_string());
             state.stats.dedup_skips += 1;
@@ -598,6 +598,7 @@ impl Cas {
         let record = encode_chunk_index(data.len() as u64, &chunks);
         self.write_record(&index_path, &record)?;
         let mut state = self.lock();
+        state.damaged.remove(digest);
         state.known.insert(digest.to_string());
         state.stats.chunk_indexes += 1;
         state.index_bytes += record.len() as u64;
@@ -608,19 +609,21 @@ impl Cas {
     /// Store one chunk object (never re-chunked, whatever its size).
     /// Returns `true` when the chunk already existed (deduplicated).
     fn store_chunk(&self, digest: &str, data: &[u8]) -> Result<bool> {
-        {
+        let damaged = {
             let state = self.lock();
             if state.known.contains(digest) {
                 return Ok(true);
             }
-        }
+            state.damaged.contains(digest)
+        };
         let path = self.blob_path(digest);
-        if path.exists() {
+        if !damaged && path.exists() {
             self.lock().known.insert(digest.to_string());
             return Ok(true);
         }
         self.write_record(&path, data)?;
         let mut state = self.lock();
+        state.damaged.remove(digest);
         state.known.insert(digest.to_string());
         state.stats.writes += 1;
         state.stats.written_bytes += data.len() as u64;
@@ -683,13 +686,9 @@ impl Cas {
         }
         let data = self.read_payload(digest)?;
         if hex(&Sha256::digest(&data)) != digest {
-            return Err(StoreError::corrupt(format!(
-                "blob {digest} fails verification"
-            )));
+            return Err(self.note_damaged(digest));
         }
-        let mut state = self.lock();
-        state.stats.reads += 1;
-        state.stats.read_bytes += data.len() as u64;
+        self.count_read(data.len());
         Ok(data)
     }
 
@@ -705,13 +704,46 @@ impl Cas {
             let s = std::str::from_utf8(chunk).expect("hex");
             sha[i] = u8::from_str_radix(s, 16).expect("hex");
         }
-        let len = data.len() as u64;
-        let blob = Blob::with_sha(data, sha)
-            .ok_or_else(|| StoreError::corrupt(format!("blob {digest} fails verification")))?;
-        let mut state = self.lock();
-        state.stats.reads += 1;
-        state.stats.read_bytes += len;
+        let blob = Blob::with_sha(data, sha).ok_or_else(|| self.note_damaged(digest))?;
+        self.count_read(blob.len());
         Ok(blob)
+    }
+
+    /// Count one verified read. Lock-free: reads never touch the index.
+    fn count_read(&self, len: usize) {
+        self.inner.reads.fetch_add(1, Ordering::Relaxed);
+        self.inner
+            .read_bytes
+            .fetch_add(len as u64, Ordering::Relaxed);
+    }
+
+    /// Note an object whose content failed verification — the whole
+    /// blob, or a chunked blob plus whichever of its chunks are damaged
+    /// — as *damaged*: this handle stops treating it as present, so the
+    /// next put of that content rewrites it in place instead of
+    /// dedup-skipping against the damage. That is what lets a corrupt
+    /// payload heal: the layer reading it misses, the build
+    /// re-executes, and its persist restores the object. Returns the
+    /// error the failed read reports.
+    fn note_damaged(&self, digest: &str) -> StoreError {
+        let mut damaged = vec![digest.to_string()];
+        if let Ok(index) = fs::read(self.chunk_index_path(digest)) {
+            if let Ok((_, chunks)) = decode_chunk_index(&index) {
+                for (chunk, _) in chunks {
+                    let intact = fs::read(self.blob_path(&chunk))
+                        .is_ok_and(|data| hex(&Sha256::digest(&data)) == chunk);
+                    if !intact {
+                        damaged.push(chunk);
+                    }
+                }
+            }
+        }
+        let mut state = self.lock();
+        for d in damaged {
+            state.known.remove(&d);
+            state.damaged.insert(d);
+        }
+        StoreError::corrupt(format!("blob {digest} fails verification"))
     }
 
     /// Pin `digests` under a named root: they survive [`gc`](Self::gc)
@@ -740,7 +772,7 @@ impl Cas {
             }
         }
         let seq = {
-            let mut state = self.lock();
+            let mut state = self.index()?;
             state.pin_clock += 1;
             state.pin_clock
         };
@@ -763,6 +795,8 @@ impl Cas {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => false,
             Err(e) => return Err(e.into()),
         };
+        // An unindexed handle has no refcounts to release: the census
+        // it takes later never sees the removed record.
         let mut state = self.lock();
         if let Some(old) = state.roots.remove(name) {
             for d in &old.digests {
@@ -774,21 +808,24 @@ impl Cas {
 
     /// The named roots, sorted.
     pub fn roots(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.lock().roots.keys().cloned().collect();
+        let mut names: Vec<String> = self.index_or_lock().roots.keys().cloned().collect();
         names.sort();
         names
     }
 
     /// How many roots pin this digest (0 = collectable).
     pub fn refcount(&self, digest: &str) -> u64 {
-        self.lock().refs.get(digest).copied().unwrap_or(0)
+        self.index_or_lock().refs.get(digest).copied().unwrap_or(0)
     }
 
     /// The digests a named root pins, in the order they were pinned
     /// (`None` if no such root). The registry's tag records lean on
     /// the ordering: a tag pin lists the manifest digest first.
     pub fn pinned(&self, name: &str) -> Option<Vec<String>> {
-        self.lock().roots.get(name).map(|m| m.digests.clone())
+        self.index_or_lock()
+            .roots
+            .get(name)
+            .map(|m| m.digests.clone())
     }
 
     /// Bound the store's physical footprint (blob payloads plus chunk
@@ -818,7 +855,7 @@ impl Cas {
     fn enforce_budget(&self) -> Result<()> {
         loop {
             let victims = {
-                let state = self.lock();
+                let state = self.index()?;
                 if state.budget == 0 || state.physical_bytes() <= state.budget {
                     return Ok(());
                 }
@@ -856,11 +893,13 @@ impl Cas {
     /// wasteful, so run gc quiesced when it matters).
     pub fn gc(&self) -> Result<GcReport> {
         let mut report = GcReport::default();
+        // The root index must exist before gc rewrites its refcounts.
+        drop(self.index()?);
         // Re-read pins from disk so a sibling process's roots count.
         // An unparseable pin aborts the collection: deleting blobs on
         // partial pin knowledge could free content a healthy root
-        // still references. (Open quarantines corrupt pins, so this
-        // only trips on corruption that arrived after open.)
+        // still references. (Building the index quarantines corrupt
+        // pins, so this only trips on corruption that arrived since.)
         let mut live: HashMap<String, u64> = HashMap::new();
         for entry in fs::read_dir(self.inner.root.join("roots"))?.flatten() {
             let bytes = match fs::read(entry.path()) {
@@ -930,6 +969,7 @@ impl Cas {
         state.refs = live;
         // The known-digest fast path must forget collected blobs, or a
         // later put of the same content would be skipped unwritten.
+        // Damaged objects stay unknown until a put rewrites them.
         state.known = survivors;
         state.stats.blobs = live_blobs;
         state.stats.bytes = live_bytes;
@@ -938,14 +978,18 @@ impl Cas {
         for (name, _) in surviving_indexes {
             state.known.insert(name);
         }
+        let CasState { known, damaged, .. } = &mut *state;
+        known.retain(|d| !damaged.contains(d));
         Ok(report)
     }
 
     /// Usage counters.
     pub fn stats(&self) -> CasStats {
-        let state = self.lock();
+        let state = self.index_or_lock();
         let mut stats = state.stats;
         stats.physical_bytes = state.physical_bytes();
+        stats.reads = self.inner.reads.load(Ordering::Relaxed);
+        stats.read_bytes = self.inner.read_bytes.load(Ordering::Relaxed);
         stats
     }
 }
@@ -1015,12 +1059,12 @@ impl CasBatch {
     /// against earlier objects in this batch.
     pub fn put(&mut self, data: &[u8]) -> Result<String> {
         let digest = hex(&Sha256::digest(data));
-        if self.is_present(&digest) {
+        if self.is_present(&digest)? {
             self.cas.lock().stats.dedup_skips += 1;
             return Ok(digest);
         }
         if data.len() >= CHUNK_THRESHOLD {
-            self.put_chunked(&digest, data, None);
+            self.put_chunked(&digest, data, None)?;
         } else {
             self.stage_blob(&digest, StagedData::Owned(data.to_vec()));
         }
@@ -1031,12 +1075,12 @@ impl CasBatch {
     /// batch holds the `Arc` until commit writes it out).
     pub fn put_blob(&mut self, blob: &Arc<Blob>) -> Result<String> {
         let digest = blob.sha_hex();
-        if self.is_present(&digest) {
+        if self.is_present(&digest)? {
             self.cas.lock().stats.dedup_skips += 1;
             return Ok(digest);
         }
         if blob.data().len() >= CHUNK_THRESHOLD {
-            self.put_chunked(&digest, blob.data(), Some(blob));
+            self.put_chunked(&digest, blob.data(), Some(blob))?;
         } else {
             self.stage_blob(&digest, StagedData::Blob(Arc::clone(blob)));
         }
@@ -1052,13 +1096,13 @@ impl CasBatch {
         self.staged_digests.insert(digest.to_string());
     }
 
-    fn put_chunked(&mut self, digest: &str, data: &[u8], source: Option<&Arc<Blob>>) {
+    fn put_chunked(&mut self, digest: &str, data: &[u8], source: Option<&Arc<Blob>>) -> Result<()> {
         let mut chunks: Vec<(String, u64)> = Vec::new();
         let mut saved = 0u64;
         for (start, end) in chunk_spans(data) {
             let chunk = &data[start..end];
             let chunk_digest = hex(&Sha256::digest(chunk));
-            if self.is_present(&chunk_digest) {
+            if self.is_present(&chunk_digest)? {
                 saved += chunk.len() as u64;
             } else {
                 let staged = match source {
@@ -1077,6 +1121,7 @@ impl CasBatch {
         };
         self.stage(dest, StagedData::Owned(record), kind);
         self.staged_digests.insert(digest.to_string());
+        Ok(())
     }
 
     /// Stage a non-content-addressed record file (layer records).
@@ -1102,7 +1147,7 @@ impl CasBatch {
             }
         }
         let seq = {
-            let mut state = self.cas.lock();
+            let mut state = self.cas.index()?;
             state.pin_clock += 1;
             state.pin_clock
         };
@@ -1115,17 +1160,20 @@ impl CasBatch {
     }
 
     /// Is this digest already durable or staged in this batch?
-    fn is_present(&self, digest: &str) -> bool {
+    fn is_present(&self, digest: &str) -> Result<bool> {
         if self.staged_digests.contains(digest) {
-            return true;
+            return Ok(true);
         }
         {
-            let state = self.cas.lock();
+            let state = self.cas.index()?;
             if state.known.contains(digest) {
-                return true;
+                return Ok(true);
+            }
+            if state.damaged.contains(digest) {
+                return Ok(false);
             }
         }
-        self.cas.blob_path(digest).exists() || self.cas.chunk_index_path(digest).exists()
+        Ok(self.cas.blob_path(digest).exists() || self.cas.chunk_index_path(digest).exists())
     }
 
     fn stage(&mut self, dest: PathBuf, data: StagedData, kind: StagedKind) {
@@ -1154,6 +1202,9 @@ impl CasBatch {
         let files = std::mem::take(&mut self.staged);
         let pins = std::mem::take(&mut self.pins);
         let mut dir_failures = 0u64;
+        // The bookkeeping below updates the index: make sure it exists
+        // before anything lands.
+        drop(self.cas.index()?);
         // Crash checkpoint 0: nothing staged, nothing durable.
         commit_crash_point()?;
 
@@ -1270,6 +1321,7 @@ impl CasBatch {
             match &f.kind {
                 StagedKind::Blob { digest } => {
                     let len = f.data.bytes().len() as u64;
+                    state.damaged.remove(digest);
                     state.known.insert(digest.clone());
                     state.stats.writes += 1;
                     state.stats.written_bytes += len;
@@ -1277,6 +1329,7 @@ impl CasBatch {
                     state.stats.bytes += len;
                 }
                 StagedKind::Index { digest, saved } => {
+                    state.damaged.remove(digest);
                     state.known.insert(digest.clone());
                     state.stats.chunk_indexes += 1;
                     state.index_bytes += f.data.bytes().len() as u64;
@@ -1344,6 +1397,83 @@ fn replay_pack(root: &Path, bytes: &[u8]) -> Result<()> {
     for (dest, data) in entries {
         atomic_write(&root.join("tmp"), &dest, &data)?;
     }
+    Ok(())
+}
+
+/// Build a handle's index: the blob and chunk-index census plus the
+/// refcounts from every pin record. The census is gathered first and
+/// applied only once the whole scan succeeded, so a failed scan leaves
+/// `state` unindexed. A pin that does not parse must not brick the
+/// store: it is quarantined (removed) so its layer reads as a miss,
+/// re-executes, and re-pins — the same healing path a corrupt layer
+/// record takes. (Pins are written atomically, so this only happens
+/// under real on-disk corruption, not a crash.)
+fn build_index(root: &Path, state: &mut CasState) -> Result<()> {
+    let mut known = HashSet::new();
+    let (mut blobs, mut bytes) = (0u64, 0u64);
+    for entry in fs::read_dir(root.join("blobs/sha256"))?.flatten() {
+        if let Ok(meta) = entry.metadata() {
+            if meta.is_file() {
+                blobs += 1;
+                bytes += meta.len();
+                known.insert(entry.file_name().to_string_lossy().into_owned());
+            }
+        }
+    }
+    // Chunk-index census: the logical digests are known (a re-put of
+    // the same large content is a pure dedup skip), the record bytes
+    // count toward the physical footprint.
+    let (mut chunk_indexes, mut index_bytes) = (0u64, 0u64);
+    for entry in fs::read_dir(root.join("chunks"))?.flatten() {
+        if let Ok(meta) = entry.metadata() {
+            if meta.is_file() {
+                chunk_indexes += 1;
+                index_bytes += meta.len();
+                known.insert(entry.file_name().to_string_lossy().into_owned());
+            }
+        }
+    }
+    let mut roots = HashMap::new();
+    let mut refs: HashMap<String, u64> = HashMap::new();
+    let mut pin_clock = 0u64;
+    for entry in fs::read_dir(root.join("roots"))?.flatten() {
+        let name = entry.file_name().to_string_lossy().into_owned();
+        let record = match fs::read(entry.path()) {
+            Ok(record) => record,
+            // A sibling process unpinned (or quarantined) this root
+            // between our read_dir and read: skip it, the same outcome
+            // as iterating a moment later.
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
+            Err(e) => return Err(e.into()),
+        };
+        match decode_root(&record) {
+            Ok(meta) => {
+                for d in &meta.digests {
+                    *refs.entry(d.clone()).or_insert(0) += 1;
+                }
+                pin_clock = pin_clock.max(meta.seq);
+                roots.insert(name, meta);
+            }
+            Err(_) => {
+                let _ = fs::remove_file(entry.path());
+                // A layer record whose pin is gone would lose its
+                // blobs to the next gc anyway; drop it now so the miss
+                // is immediate instead of a later fetch error.
+                let _ = fs::remove_file(root.join("layers").join(&name));
+                state.stats.corrupt_roots += 1;
+            }
+        }
+    }
+    known.retain(|d| !state.damaged.contains(d));
+    state.known = known;
+    state.stats.blobs = blobs;
+    state.stats.bytes = bytes;
+    state.stats.chunk_indexes = chunk_indexes;
+    state.index_bytes = index_bytes;
+    state.refs = refs;
+    state.roots = roots;
+    state.pin_clock = pin_clock;
+    state.indexed = true;
     Ok(())
 }
 

@@ -105,6 +105,16 @@ impl<'a> Dec<'a> {
         Ok(dec)
     }
 
+    /// Open a bare fragment with no magic (the counterpart of
+    /// [`Enc::raw`]); `label` names it in error messages.
+    pub fn raw(buf: &'a [u8], label: &'static str) -> Dec<'a> {
+        Dec {
+            buf,
+            pos: 0,
+            magic: label,
+        }
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         let end = self.pos.checked_add(n).filter(|&e| e <= self.buf.len());
         match end {
@@ -149,8 +159,14 @@ impl<'a> Dec<'a> {
 
     /// Read a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String> {
+        self.str_ref().map(str::to_string)
+    }
+
+    /// Read a length-prefixed UTF-8 string in place, without copying
+    /// it out of the buffer.
+    pub fn str_ref(&mut self) -> Result<&'a str> {
         let bytes = self.bytes()?;
-        String::from_utf8(bytes.to_vec())
+        std::str::from_utf8(bytes)
             .map_err(|_| StoreError::corrupt(format!("{}: invalid UTF-8", self.magic)))
     }
 
@@ -159,6 +175,11 @@ impl<'a> Dec<'a> {
     /// entry's exact bytes).
     pub fn pos(&self) -> usize {
         self.pos
+    }
+
+    /// The bytes read since offset `start` (an earlier [`pos`](Self::pos)).
+    pub fn since(&self, start: usize) -> &'a [u8] {
+        &self.buf[start..self.pos]
     }
 
     /// Assert the record is fully consumed (trailing garbage is how

@@ -18,9 +18,23 @@
 //! Delta chains are bounded ([`MAX_DELTA_DEPTH`]): past the bound the
 //! layer re-persists in full, so replay is O(chain·changes) and a full
 //! record exists every few layers for chunk-level dedup to land on.
-//! Reconstruction is digest-checked — the patched, re-sorted, re-framed
-//! record must hash to exactly what a fresh full encoding would, or the
-//! layer reads as corrupt (and therefore as a self-healing miss).
+//! Reconstruction is digest-checked — the patched, re-framed record
+//! must hash to exactly what a fresh full encoding would, or the layer
+//! reads as corrupt (and therefore as a self-healing miss). So is every
+//! delta's shape: its removed paths and upserts must each be in strict
+//! walk order, a removal must name a path the tree has, and the root
+//! is never removed.
+//!
+//! **Load cost.** Loading a layer reads and verifies, through the
+//! [`Cas`]: its record file, each object of its chain (the delta blobs
+//! and the base full record, at most `MAX_DELTA_DEPTH + 1`), and each
+//! *distinct* payload digest of its tree once — files that share a
+//! payload (an image's many empty files) share one read and one blob.
+//! Replay folds the chain into one net change per path and merges those
+//! into the base record's entries, every step a linear merge of lists
+//! already in walk order: O(entries + depth·changes) CPU on top of
+//! those reads, no re-sort of the record. A load never builds the
+//! store's pin/census index (see [`Cas::open`]).
 //!
 //! Tree records, delta blobs and file payloads are ordinary [`Cas`]
 //! objects — layers that share snapshots share bytes on disk exactly as
@@ -45,8 +59,8 @@ use crate::codec::{Dec, Enc};
 use crate::error::{Result, StoreError};
 use crate::meta::{decode_meta, encode_meta};
 use crate::tree::{
-    assemble_tree_record, decode_tree, encode_tree_entries, hash_tree_record, split_tree_record,
-    walk_order, TreeEntry,
+    assemble_tree_record, decode_tree, encode_tree_entries, hash_tree_record, parse_tree_entry,
+    split_tree_record, walk_order, TreeEntry,
 };
 
 /// Original layer record: full tree digest only.
@@ -478,14 +492,20 @@ impl DiskLayers {
         decode_layer_record(&bytes, key).map(Some)
     }
 
-    /// Rebuild the complete canonical tree record bytes behind a tree
-    /// reference. Full references verify through [`Cas::get`]; delta
-    /// references walk the chain to its base record, patch entries
-    /// oldest-first, re-sort into walk order, re-frame, and verify the
-    /// result hashes to exactly the recorded full digest.
-    fn reconstruct_record(&self, tree_ref: &TreeRef) -> Result<Vec<u8>> {
+    /// Rebuild the complete canonical tree record behind a tree
+    /// reference, as bytes and split into its walk-ordered entries.
+    /// Full references verify through [`Cas::get`]. Delta references
+    /// walk the chain to its base record, fold the deltas oldest-first
+    /// into one walk-ordered net change per path, merge those into the
+    /// base entries in one pass, re-frame, and verify the result hashes
+    /// to exactly the recorded full digest.
+    fn reconstruct_record(&self, tree_ref: &TreeRef) -> Result<(Vec<u8>, Vec<TreeEntry>)> {
         let (delta_digest, full_digest) = match tree_ref {
-            TreeRef::Full { digest } => return self.cas.get(digest),
+            TreeRef::Full { digest } => {
+                let record = self.cas.get(digest)?;
+                let entries = split_tree_record(&record)?;
+                return Ok((record, entries));
+            }
             TreeRef::Delta {
                 delta_digest,
                 full_digest,
@@ -511,37 +531,41 @@ impl DiskLayers {
             }
             cursor = parent_digest;
         };
-        let mut by_path: HashMap<String, Vec<u8>> = split_tree_record(&base)?
-            .into_iter()
-            .map(|e| (e.path().to_string(), e.bytes().to_vec()))
-            .collect();
-        for delta in deltas.iter().rev() {
-            for path in &delta.removed {
-                by_path.remove(path);
+        let changes = fold_deltas(deltas)?;
+        // The base entries are in walk order too: one merge pass.
+        let base = split_tree_record(&base)?;
+        let mut entries = Vec::with_capacity(base.len() + changes.len());
+        let mut base = base.into_iter().peekable();
+        for (path, change) in changes {
+            while let Some(kept) =
+                base.next_if(|e| walk_order(e.path(), &path) == std::cmp::Ordering::Less)
+            {
+                entries.push(kept);
             }
-            for (path, bytes) in &delta.upserts {
-                by_path.insert(path.clone(), bytes.clone());
+            let replaced = base.next_if(|e| e.path() == path).is_some();
+            if change.must_exist && !replaced {
+                return Err(StoreError::corrupt(format!(
+                    "delta chain removes {path}, which its base never had"
+                )));
             }
+            entries.extend(change.entry);
         }
-        // Re-sort into the walk's pre-order (component-wise, *not*
-        // byte-wise — "/d.x" walks after "/d/y") and re-frame.
-        let mut paths: Vec<&String> = by_path.keys().collect();
-        paths.sort_by(|a, b| walk_order(a, b));
-        let record = assemble_tree_record(paths.into_iter().map(|p| by_path[p].as_slice()));
+        entries.extend(base);
+        let record = assemble_tree_record(entries.iter().map(TreeEntry::bytes));
         let found = hex(&Sha256::digest(&record));
         if &found != full_digest {
             return Err(StoreError::corrupt(format!(
                 "delta reconstruction hashes to {found}, record says {full_digest}"
             )));
         }
-        Ok(record)
+        Ok((record, entries))
     }
 
     fn load_inner(&self, key: &CacheKey) -> Result<Option<Layer>> {
         let Some(parts) = self.read_record(key)? else {
             return Ok(None);
         };
-        let record = self.reconstruct_record(&parts.tree_ref)?;
+        let (record, entries) = self.reconstruct_record(&parts.tree_ref)?;
         let fs = decode_tree(&record, |digest| self.cas.get_blob(digest))?;
         // Cache the split record so a warm-replayed child persists as
         // a delta against this layer instead of a full record.
@@ -556,7 +580,7 @@ impl DiskLayers {
         self.lock_trees().insert(
             key.clone(),
             CachedTree {
-                entries: Arc::new(split_tree_record(&record)?),
+                entries: Arc::new(entries),
                 object_digest,
                 depth,
             },
@@ -570,6 +594,62 @@ impl DiskLayers {
     }
 }
 
+/// The net effect of a delta chain on one path.
+struct NetChange {
+    /// The entry the path ends up with; `None` = removed.
+    entry: Option<TreeEntry>,
+    /// The chain removes the path before any delta upserts it, so the
+    /// base record must have it.
+    must_exist: bool,
+}
+
+/// Fold a chain's deltas (given newest-first) into one walk-ordered
+/// net change per path, applying them oldest-first: each delta's
+/// removals, then its upserts, the last word on a path winning. Every
+/// list is already in walk order, so each step is one merge pass — no
+/// map, no sort.
+fn fold_deltas(deltas: Vec<DeltaParts>) -> Result<Vec<(String, NetChange)>> {
+    let mut net = Vec::new();
+    for delta in deltas.into_iter().rev() {
+        net = apply_ops(net, delta.removed.into_iter().map(|path| (path, None)))?;
+        let upserts = delta.upserts.into_iter();
+        net = apply_ops(net, upserts.map(|e| (e.path().to_string(), Some(e))))?;
+    }
+    Ok(net)
+}
+
+/// Merge one walk-ordered list of path operations (`None` removes,
+/// `Some` upserts) into the walk-ordered net changes so far. A removal
+/// must name a path the tree has at that point of the chain: upserted
+/// by an earlier delta, or untouched so far — then the base must have
+/// it, which the merge into the base checks.
+fn apply_ops(
+    net: Vec<(String, NetChange)>,
+    ops: impl Iterator<Item = (String, Option<TreeEntry>)>,
+) -> Result<Vec<(String, NetChange)>> {
+    let mut folded = Vec::with_capacity(net.len());
+    let mut older = net.into_iter().peekable();
+    for (path, entry) in ops {
+        while let Some(kept) =
+            older.next_if(|(p, _)| walk_order(p, &path) == std::cmp::Ordering::Less)
+        {
+            folded.push(kept);
+        }
+        let must_exist = match older.next_if(|(p, _)| *p == path) {
+            Some((_, earlier)) if entry.is_none() && earlier.entry.is_none() => {
+                return Err(StoreError::corrupt(format!(
+                    "delta chain removes {path} twice"
+                )));
+            }
+            Some((_, earlier)) => earlier.must_exist,
+            None => entry.is_none(),
+        };
+        folded.push((path, NetChange { entry, must_exist }));
+    }
+    folded.extend(older);
+    Ok(folded)
+}
+
 /// A decoded layer record, filesystem not yet materialized.
 struct RecordParts {
     parent: Option<CacheKey>,
@@ -581,8 +661,10 @@ struct RecordParts {
 struct DeltaParts {
     parent_is_delta: bool,
     parent_digest: String,
+    /// Removed paths, in strict walk order.
     removed: Vec<String>,
-    upserts: Vec<(String, Vec<u8>)>,
+    /// Added or changed entries, in strict walk order.
+    upserts: Vec<TreeEntry>,
 }
 
 fn encode_layer_record(layer: &Layer, tree_ref: &TreeRef) -> Vec<u8> {
@@ -755,17 +837,40 @@ fn decode_delta(bytes: &[u8]) -> Result<DeltaParts> {
         }
     };
     let parent_digest = expect_digest(dec.str()?)?;
+    // The encoder emits both lists from one walk-order merge, so each
+    // is strictly increasing: a duplicate or out-of-order path is
+    // corruption, not something to patch around.
+    let in_order = |prev: Option<&str>, path: &str| {
+        if prev.is_some_and(|prev| walk_order(prev, path) != std::cmp::Ordering::Less) {
+            return Err(StoreError::corrupt(format!(
+                "delta lists {path} out of walk order or twice"
+            )));
+        }
+        Ok(())
+    };
     let removed_count = dec.u64()?;
-    let mut removed = Vec::new();
+    let mut removed: Vec<String> = Vec::new();
     for _ in 0..removed_count {
-        removed.push(dec.str()?);
+        let path = dec.str()?;
+        if path == "/" {
+            return Err(StoreError::corrupt("delta removes the root directory"));
+        }
+        in_order(removed.last().map(String::as_str), &path)?;
+        removed.push(path);
     }
     let upsert_count = dec.u64()?;
-    let mut upserts = Vec::new();
+    let mut upserts: Vec<TreeEntry> = Vec::new();
     for _ in 0..upsert_count {
-        let path = dec.str()?;
-        let bytes = dec.bytes()?.to_vec();
-        upserts.push((path, bytes));
+        let path = dec.str_ref()?;
+        let entry = parse_tree_entry(dec.bytes()?)?;
+        if entry.path() != path {
+            return Err(StoreError::corrupt(format!(
+                "delta upsert {path} carries the entry for {}",
+                entry.path()
+            )));
+        }
+        in_order(upserts.last().map(TreeEntry::path), path)?;
+        upserts.push(entry);
     }
     dec.done()?;
     Ok(DeltaParts {
@@ -852,4 +957,330 @@ pub fn open_layer_store(dir: impl AsRef<Path>) -> Result<(LayerStore, Arc<DiskLa
     let store = LayerStore::new();
     store.set_persistence(disk.clone());
     Ok((store, disk))
+}
+
+#[cfg(test)]
+mod tests {
+    //! Adversarial delta chains: hand-made delta blobs that an honest
+    //! encoder never writes must read as misses — never panics, never
+    //! a patched-around tree — even when the layer record names the
+    //! digest a lenient replay would produce.
+
+    use super::*;
+    use std::path::PathBuf;
+    use zr_vfs::fs::Fs;
+    use zr_vfs::Access;
+
+    struct Scratch(PathBuf);
+
+    impl Scratch {
+        fn new(name: &str) -> Scratch {
+            static SEQ: AtomicU64 = AtomicU64::new(0);
+            let path = std::env::temp_dir().join(format!(
+                "zr-store-unit-{name}-{}-{}",
+                std::process::id(),
+                SEQ.fetch_add(1, Ordering::Relaxed)
+            ));
+            let _ = std::fs::remove_dir_all(&path);
+            Scratch(path)
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn state() -> LayerState {
+        LayerState {
+            args: Vec::new(),
+            stage: None,
+        }
+    }
+
+    fn base_fs() -> Fs {
+        let acc = Access::root();
+        let mut fs = Fs::new();
+        fs.mkdir_p("/etc", 0o755).unwrap();
+        fs.mkdir_p("/var", 0o755).unwrap();
+        fs.write_file("/etc/a", 0o644, b"a".to_vec(), &acc).unwrap();
+        fs.write_file("/etc/b", 0o644, b"b".to_vec(), &acc).unwrap();
+        fs.write_file("/var/log", 0o644, b"log".to_vec(), &acc)
+            .unwrap();
+        fs
+    }
+
+    /// `fs` plus one new file and a changed one (payloads stored in
+    /// `cas`): at least two upserts, in two directories. Along a chain,
+    /// odd steps also remove what the step before added, step 1
+    /// removes a base file and step 3 brings it back.
+    fn edit(fs: &Fs, cas: &Cas, step: usize) -> Fs {
+        let acc = Access::root();
+        let mut child = fs.clone();
+        let mut writes = vec![
+            (format!("/etc/new-{step}"), format!("new {step}")),
+            ("/var/log".to_string(), format!("log {step}")),
+        ];
+        if step == 3 {
+            writes.push(("/etc/a".to_string(), "a again".to_string()));
+        }
+        for (path, data) in writes {
+            child
+                .write_file(&path, 0o644, data.clone().into_bytes(), &acc)
+                .unwrap();
+            cas.put(data.as_bytes()).unwrap();
+        }
+        if step % 2 == 1 {
+            child
+                .unlink(&format!("/etc/new-{}", step - 1), &acc)
+                .unwrap();
+        }
+        if step == 1 {
+            child.unlink("/etc/a", &acc).unwrap();
+        }
+        child
+    }
+
+    fn entries(fs: &Fs) -> Vec<TreeEntry> {
+        encode_tree_entries(fs, &[], |_| {})
+    }
+
+    /// An upsert as a delta blob files it: path, then entry.
+    type Upsert = (String, TreeEntry);
+
+    /// The honest diff between two walk-ordered entry lists.
+    fn diff(parent: &[TreeEntry], child: &[TreeEntry]) -> (Vec<String>, Vec<Upsert>) {
+        let removed = parent
+            .iter()
+            .filter(|p| !child.iter().any(|c| c.path() == p.path()))
+            .map(|p| p.path().to_string())
+            .collect();
+        let upserts = child
+            .iter()
+            .filter(|c| !parent.iter().any(|p| p.bytes() == c.bytes()))
+            .map(|c| (c.path().to_string(), c.clone()))
+            .collect();
+        (removed, upserts)
+    }
+
+    /// A store holding one full base layer.
+    struct Store {
+        dir: Scratch,
+        disk: DiskLayers,
+        base_key: CacheKey,
+        base_object: String,
+        base_fs: Fs,
+    }
+
+    fn store(name: &str) -> Store {
+        let dir = Scratch::new(name);
+        let disk = DiskLayers::new(Cas::open(&dir.0).unwrap());
+        let base_key = CacheKey::compute(None, "FROM base", "", "none");
+        let base_fs = base_fs();
+        disk.persist(&Layer {
+            id: base_key.clone(),
+            parent: None,
+            fs: base_fs.clone(),
+            state: state(),
+        });
+        let base_object = match disk.read_record(&base_key).unwrap().unwrap().tree_ref {
+            TreeRef::Full { digest } => digest,
+            other => panic!("base persisted as {other:?}"),
+        };
+        Store {
+            dir,
+            disk,
+            base_key,
+            base_object,
+            base_fs,
+        }
+    }
+
+    /// One hand-made delta link: its delta blob and layer record.
+    struct Link<'a> {
+        parent_key: &'a CacheKey,
+        parent_object: &'a str,
+        parent_is_delta: bool,
+        removed: Vec<String>,
+        upserts: Vec<Upsert>,
+        depth: u64,
+        full_digest: String,
+    }
+
+    /// Write `link` as layer `name`; returns its key and delta digest.
+    fn write_link(disk: &DiskLayers, name: &str, link: Link<'_>) -> (CacheKey, String) {
+        let mut enc = Enc::new(DELTA_MAGIC);
+        enc.u8(u8::from(link.parent_is_delta));
+        enc.str(link.parent_object);
+        enc.u64(link.removed.len() as u64);
+        for path in &link.removed {
+            enc.str(path);
+        }
+        enc.u64(link.upserts.len() as u64);
+        for (path, entry) in &link.upserts {
+            enc.str(path);
+            enc.bytes(entry.bytes());
+        }
+        let delta_digest = disk.cas.put(&enc.finish()).unwrap();
+        let key = CacheKey::compute(Some(link.parent_key), name, "", "none");
+        let layer = Layer {
+            id: key.clone(),
+            parent: Some(link.parent_key.clone()),
+            fs: Fs::new(),
+            state: state(),
+        };
+        let tree_ref = TreeRef::Delta {
+            delta_digest: delta_digest.clone(),
+            depth: link.depth,
+            full_digest: link.full_digest,
+        };
+        std::fs::write(
+            disk.cas.layers_dir().join(key.as_hex()),
+            encode_layer_record(&layer, &tree_ref),
+        )
+        .unwrap();
+        (key, delta_digest)
+    }
+
+    /// Load `key` through a fresh handle: the layer, or the error that
+    /// made it a miss.
+    fn fresh_load(dir: &Scratch, key: &CacheKey) -> std::result::Result<Layer, String> {
+        let disk = DiskLayers::new(Cas::open(&dir.0).unwrap());
+        match disk.load(key) {
+            Some(layer) => Ok(layer),
+            None => {
+                assert_eq!(disk.error_count(), 1, "a miss is noted once");
+                Err(disk.last_error().unwrap())
+            }
+        }
+    }
+
+    /// A one-link delta on the base with `tamper` applied to the honest
+    /// diff; the record names the digest of `want` (the honest child
+    /// tree unless the tamper says otherwise).
+    fn one_link(
+        name: &str,
+        tamper: impl FnOnce(&mut Vec<String>, &mut Vec<Upsert>, &mut Vec<TreeEntry>),
+    ) -> (std::result::Result<Layer, String>, Fs) {
+        let s = store(name);
+        let child = edit(&s.base_fs, &s.disk.cas, 0);
+        let mut want = entries(&child);
+        let (mut removed, mut upserts) = diff(&entries(&s.base_fs), &want);
+        tamper(&mut removed, &mut upserts, &mut want);
+        let link = Link {
+            parent_key: &s.base_key,
+            parent_object: &s.base_object,
+            parent_is_delta: false,
+            removed,
+            upserts,
+            depth: 1,
+            full_digest: hash_tree_record(&want),
+        };
+        let (key, _) = write_link(&s.disk, name, link);
+        (fresh_load(&s.dir, &key), child)
+    }
+
+    #[test]
+    fn an_honest_hand_made_delta_loads() {
+        let (loaded, child) = one_link("honest", |_, upserts, _| {
+            assert!(upserts.len() >= 2, "the tamper cases need two upserts");
+        });
+        let loaded = loaded.expect("honest delta loads");
+        assert_eq!(loaded.fs.tree_digest(), child.tree_digest());
+    }
+
+    #[test]
+    fn duplicate_upsert_paths_are_a_miss() {
+        let (loaded, _) = one_link("dup-upsert", |_, upserts, _| {
+            let last = upserts.last().unwrap().clone();
+            upserts.push(last);
+        });
+        let err = loaded.expect_err("a duplicate upsert is a miss");
+        assert!(err.contains("out of walk order or twice"), "{err}");
+    }
+
+    #[test]
+    fn out_of_order_entries_are_a_miss() {
+        let (loaded, _) = one_link("unordered", |_, upserts, _| upserts.reverse());
+        let err = loaded.expect_err("out-of-order upserts are a miss");
+        assert!(err.contains("out of walk order or twice"), "{err}");
+
+        let (loaded, _) = one_link("unordered-removals", |removed, _, _| {
+            removed.push("/var/zz".into());
+            removed.push("/etc/zz".into());
+        });
+        let err = loaded.expect_err("out-of-order removals are a miss");
+        assert!(err.contains("out of walk order or twice"), "{err}");
+    }
+
+    #[test]
+    fn removing_an_absent_path_is_a_miss() {
+        // Replaying the removal as a no-op would reproduce the honest
+        // child exactly — which is why it has to be refused outright.
+        let (loaded, _) = one_link("absent", |removed, _, _| removed.push("/nope".into()));
+        let err = loaded.expect_err("removing an absent path is a miss");
+        assert!(err.contains("never had"), "{err}");
+    }
+
+    #[test]
+    fn removing_the_root_is_a_miss() {
+        // The record even names the digest of the rootless tree.
+        let (loaded, _) = one_link("rootless", |removed, _, want| {
+            removed.insert(0, "/".into());
+            want.retain(|e| e.path() != "/");
+        });
+        let err = loaded.expect_err("removing / is a miss");
+        assert!(err.contains("root"), "{err}");
+    }
+
+    #[test]
+    fn an_upsert_filed_under_another_path_is_a_miss() {
+        let (loaded, _) = one_link("misfiled", |_, upserts, _| {
+            let last = upserts.last_mut().unwrap();
+            last.0 = format!("{}z", last.0);
+        });
+        let err = loaded.expect_err("a misfiled upsert is a miss");
+        assert!(err.contains("carries the entry for"), "{err}");
+    }
+
+    /// A chain of `links` honest deltas on the base; returns the tip
+    /// key and its tree.
+    fn chain(s: &Store, links: usize) -> (CacheKey, Fs) {
+        let mut fs = s.base_fs.clone();
+        let mut key = s.base_key.clone();
+        let mut object = s.base_object.clone();
+        for i in 0..links {
+            let child = edit(&fs, &s.disk.cas, i);
+            let want = entries(&child);
+            let (removed, upserts) = diff(&entries(&fs), &want);
+            let link = Link {
+                parent_key: &key,
+                parent_object: &object,
+                parent_is_delta: i > 0,
+                removed,
+                upserts,
+                depth: i as u64 + 1,
+                full_digest: hash_tree_record(&want),
+            };
+            let (next_key, delta) = write_link(&s.disk, &format!("link {i}"), link);
+            key = next_key;
+            object = delta;
+            fs = child;
+        }
+        (key, fs)
+    }
+
+    #[test]
+    fn chains_at_the_depth_bound_load_and_deeper_ones_miss() {
+        let s = store("deep");
+        let (key, fs) = chain(&s, MAX_DELTA_DEPTH as usize);
+        let loaded = fresh_load(&s.dir, &key).expect("a chain at the bound loads");
+        assert_eq!(loaded.fs.tree_digest(), fs.tree_digest());
+
+        let s = store("too-deep");
+        let (key, _) = chain(&s, MAX_DELTA_DEPTH as usize + 1);
+        let err = fresh_load(&s.dir, &key).expect_err("a chain past the bound is a miss");
+        assert!(err.contains("exceeds depth"), "{err}");
+    }
 }

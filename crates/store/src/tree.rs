@@ -243,72 +243,93 @@ pub fn split_tree_record(bytes: &[u8]) -> Result<Vec<TreeEntry>> {
     let count = dec.u64()?;
     let mut entries = Vec::new();
     for _ in 0..count {
-        let start = dec.pos();
-        let path = dec.str()?;
-        let path_end = dec.pos() - start;
-        let kind = dec.u8()?;
-        let mut digest = None;
-        let has_metadata = match kind {
-            KIND_HARDLINK => {
-                dec.str()?;
-                false
-            }
-            KIND_DIR | KIND_FIFO | KIND_SOCKET => true,
-            KIND_FILE => {
-                let at = dec.pos() + 8 - start;
-                let len = dec.str()?.len();
-                digest = Some(at..at + len);
-                dec.u64()?;
-                true
-            }
-            KIND_SYMLINK => {
-                dec.str()?;
-                true
-            }
-            KIND_CHARDEV | KIND_BLOCKDEV => {
-                dec.u64()?;
-                true
-            }
-            other => {
-                return Err(StoreError::corrupt(format!(
-                    "{path}: unknown entry kind {other}"
-                )));
-            }
-        };
-        if has_metadata {
-            dec.u32()?;
-            dec.u32()?;
-            dec.u32()?;
-            dec.u64()?;
-            let xattr_count = dec.u64()?;
-            for _ in 0..xattr_count {
-                dec.str()?;
-                dec.bytes()?;
-            }
-        }
-        entries.push(TreeEntry {
-            bytes: Arc::from(&bytes[start..dec.pos()]),
-            path_end,
-            digest,
-        });
+        entries.push(next_entry(&mut dec)?);
     }
     dec.done()?;
     Ok(entries)
+}
+
+/// Parse one standalone entry (exactly [`TreeEntry::bytes`], nothing
+/// before or after) — how a delta blob carries its upserted entries.
+pub(crate) fn parse_tree_entry(bytes: &[u8]) -> Result<TreeEntry> {
+    let mut dec = Dec::raw(bytes, "tree entry");
+    let entry = next_entry(&mut dec)?;
+    dec.done()?;
+    Ok(entry)
+}
+
+/// Parse the entry at `dec`'s position, keeping its exact bytes.
+fn next_entry(dec: &mut Dec<'_>) -> Result<TreeEntry> {
+    let start = dec.pos();
+    let path = dec.str_ref()?;
+    let path_end = dec.pos() - start;
+    let kind = dec.u8()?;
+    let mut digest = None;
+    let has_metadata = match kind {
+        KIND_HARDLINK => {
+            dec.str_ref()?;
+            false
+        }
+        KIND_DIR | KIND_FIFO | KIND_SOCKET => true,
+        KIND_FILE => {
+            let at = dec.pos() + 8 - start;
+            let len = dec.str_ref()?.len();
+            digest = Some(at..at + len);
+            dec.u64()?;
+            true
+        }
+        KIND_SYMLINK => {
+            dec.str_ref()?;
+            true
+        }
+        KIND_CHARDEV | KIND_BLOCKDEV => {
+            dec.u64()?;
+            true
+        }
+        other => {
+            return Err(StoreError::corrupt(format!(
+                "{path}: unknown entry kind {other}"
+            )));
+        }
+    };
+    if has_metadata {
+        dec.u32()?;
+        dec.u32()?;
+        dec.u32()?;
+        dec.u64()?;
+        let xattr_count = dec.u64()?;
+        for _ in 0..xattr_count {
+            dec.str_ref()?;
+            dec.bytes()?;
+        }
+    }
+    Ok(TreeEntry {
+        bytes: Arc::from(dec.since(start)),
+        path_end,
+        digest,
+    })
 }
 
 /// Order paths the way `Fs::walk_paths` emits them: depth-first
 /// pre-order with sorted children. That is component-wise comparison,
 /// *not* whole-string order — `/d/y` walks before `/d.x` even though
 /// `'.' < '/'` byte-wise, because the walk descends into `/d` first.
-/// Delta reconstruction re-sorts patched entries with this comparator
-/// so the reassembled record is byte-identical to a fresh encoding.
+/// For the walk's canonical absolute paths (no empty components),
+/// component-wise order is byte order with `/` ranked below every
+/// other byte, so one pass over the bytes decides it. Delta
+/// reconstruction merges changed entries into the base entries in this
+/// order, so the reassembled record is byte-identical to a fresh
+/// encoding.
 pub(crate) fn walk_order(a: &str, b: &str) -> std::cmp::Ordering {
-    if a == b {
-        return std::cmp::Ordering::Equal;
+    let (a, b) = (a.as_bytes(), b.as_bytes());
+    match a.iter().zip(b).position(|(x, y)| x != y) {
+        Some(i) => match (a[i], b[i]) {
+            (b'/', _) => std::cmp::Ordering::Less,
+            (_, b'/') => std::cmp::Ordering::Greater,
+            (x, y) => x.cmp(&y),
+        },
+        None => a.len().cmp(&b.len()),
     }
-    a.split('/')
-        .filter(|c| !c.is_empty())
-        .cmp(b.split('/').filter(|c| !c.is_empty()))
 }
 
 /// Encode `fs` as a complete tree record (see [`encode_tree_entries`]).
@@ -329,63 +350,73 @@ struct Fixup {
 }
 
 /// Materialize a tree record into a fresh filesystem. `fetch` resolves
-/// a payload digest to its (verified) blob.
+/// a payload digest to its (verified) blob, and is called once per
+/// *distinct* digest: every file with the same payload shares the one
+/// immutable `Arc<Blob>` — an image's many empty files cost one read.
 pub fn decode_tree(bytes: &[u8], mut fetch: impl FnMut(&str) -> Result<Arc<Blob>>) -> Result<Fs> {
     let root = Access::root();
     let mut dec = Dec::new(bytes, TREE_MAGIC)?;
     let count = dec.u64()?;
     let mut fs = Fs::new();
     let mut fixups: Vec<Fixup> = Vec::new();
+    let mut fetched: HashMap<&str, Arc<Blob>> = HashMap::new();
     for _ in 0..count {
-        let path = dec.str()?;
+        let path = dec.str_ref()?;
         let kind = dec.u8()?;
         let materialize =
             |e: zr_syscalls::Errno| StoreError::corrupt(format!("materialize {path}: {e}"));
         let ino = match kind {
             KIND_HARDLINK => {
-                let earlier = dec.str()?;
-                fs.link(&earlier, &path, &root).map_err(materialize)?;
+                let earlier = dec.str_ref()?;
+                fs.link(earlier, path, &root).map_err(materialize)?;
                 continue; // metadata lives on the first entry
             }
             KIND_DIR => {
                 if path == "/" {
                     fs.root()
                 } else {
-                    fs.mkdir(&path, 0o755, &root).map_err(materialize)?
+                    fs.mkdir(path, 0o755, &root).map_err(materialize)?
                 }
             }
             KIND_FILE => {
-                let digest = dec.str()?;
+                let digest = dec.str_ref()?;
                 let len = dec.u64()?;
-                let blob = fetch(&digest)?;
+                let blob = match fetched.get(digest) {
+                    Some(blob) => Arc::clone(blob),
+                    None => {
+                        let blob = fetch(digest)?;
+                        fetched.insert(digest, Arc::clone(&blob));
+                        blob
+                    }
+                };
                 if blob.len() as u64 != len {
                     return Err(StoreError::corrupt(format!(
                         "{path}: blob {digest} is {} bytes, record says {len}",
                         blob.len()
                     )));
                 }
-                fs.create_file_blob(&path, 0o644, blob, &root)
+                fs.create_file_blob(path, 0o644, blob, &root)
                     .map_err(materialize)?
             }
             KIND_SYMLINK => {
-                let target = dec.str()?;
-                fs.symlink(&target, &path, &root).map_err(materialize)?
+                let target = dec.str_ref()?;
+                fs.symlink(target, path, &root).map_err(materialize)?
             }
             KIND_CHARDEV => {
                 let rdev = dec.u64()?;
-                fs.mknod(&path, FileKind::CharDev(rdev), 0o644, &root)
+                fs.mknod(path, FileKind::CharDev(rdev), 0o644, &root)
                     .map_err(materialize)?
             }
             KIND_BLOCKDEV => {
                 let rdev = dec.u64()?;
-                fs.mknod(&path, FileKind::BlockDev(rdev), 0o644, &root)
+                fs.mknod(path, FileKind::BlockDev(rdev), 0o644, &root)
                     .map_err(materialize)?
             }
             KIND_FIFO => fs
-                .mknod(&path, FileKind::Fifo, 0o644, &root)
+                .mknod(path, FileKind::Fifo, 0o644, &root)
                 .map_err(materialize)?,
             KIND_SOCKET => fs
-                .mknod(&path, FileKind::Socket, 0o644, &root)
+                .mknod(path, FileKind::Socket, 0o644, &root)
                 .map_err(materialize)?,
             other => {
                 return Err(StoreError::corrupt(format!(
@@ -723,6 +754,48 @@ mod tests {
             s.sort();
             s
         });
+    }
+
+    /// The definition `walk_order` implements: component-wise order.
+    fn component_order(a: &str, b: &str) -> std::cmp::Ordering {
+        a.split('/')
+            .filter(|c| !c.is_empty())
+            .cmp(b.split('/').filter(|c| !c.is_empty()))
+    }
+
+    proptest::proptest! {
+        /// Over the paths of random trees — names drawn from bytes on
+        /// both sides of '/' (space, '!', '-', '.', '0', 'Z', '~',
+        /// multi-byte UTF-8) — the one-pass byte comparison agrees with
+        /// the component-wise definition on every pair, and sorting by
+        /// it reproduces the walk.
+        #[test]
+        fn prop_walk_order_is_component_order(
+            ops in proptest::prop::collection::vec((0usize..8, 0usize..8, 0usize..4), 1..40),
+        ) {
+            const NAMES: [&str; 8] = ["a", "a.b", "a-b", "a b", "a!", "0", "Z~", "é"];
+            let root = Access::root();
+            let mut fs = Fs::new();
+            let mut dirs = vec!["/".to_string()];
+            for (dir, name, kind) in ops {
+                let path = zr_vfs::join(&dirs[dir % dirs.len()], NAMES[name]);
+                if kind == 0 {
+                    let _ = fs.write_file(&path, 0o644, Vec::new(), &root);
+                } else if fs.mkdir(&path, 0o755, &root).is_ok() {
+                    dirs.push(path);
+                }
+            }
+            let walked: Vec<String> = fs.walk_paths(&root).into_iter().map(|(p, _)| p).collect();
+            for a in &walked {
+                for b in &walked {
+                    proptest::prop_assert_eq!(walk_order(a, b), component_order(a, b), "{} vs {}", a, b);
+                }
+            }
+            let mut sorted = walked.clone();
+            sorted.reverse();
+            sorted.sort_by(|a, b| walk_order(a, b));
+            proptest::prop_assert_eq!(sorted, walked);
+        }
     }
 
     #[test]

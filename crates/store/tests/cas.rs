@@ -182,6 +182,31 @@ fn two_handles_share_one_directory() {
 }
 
 #[test]
+fn a_handle_indexes_at_first_use_not_at_open() {
+    // `early` opens before a sibling writes and pins anything. Its
+    // index is built by its first put, not at open, so that put dedups
+    // against the sibling's blobs from the index and the census and
+    // refcounts include the sibling's work.
+    let dir = Scratch::new("lazy-sibling");
+    let early = Cas::open(dir.path()).unwrap();
+    let sibling = Cas::open(dir.path()).unwrap();
+    let digests: Vec<String> = (0..4)
+        .map(|i| sibling.put(format!("blob-{i}").as_bytes()).unwrap())
+        .collect();
+    sibling.pin("sibling-root", &digests).unwrap();
+
+    for (i, digest) in digests.iter().enumerate() {
+        assert_eq!(&early.put(format!("blob-{i}").as_bytes()).unwrap(), digest);
+    }
+    let stats = early.stats();
+    assert_eq!(stats.writes, 0, "nothing rewritten: {stats}");
+    assert_eq!(stats.dedup_skips, 4);
+    assert_eq!(stats.blobs, 4, "the census postdates the sibling's puts");
+    assert_eq!(early.refcount(&digests[0]), 1);
+    assert_eq!(early.roots(), vec!["sibling-root".to_string()]);
+}
+
+#[test]
 fn blob_reads_arrive_with_warm_digest_memos() {
     let dir = Scratch::new("memo");
     let cas = Cas::open(dir.path()).unwrap();

@@ -216,3 +216,120 @@ fn disk_layers_over_existing_cas_handle() {
     assert_eq!(disk.load(&key).unwrap().id, key);
     assert!(!disk.has(&CacheKey::compute(None, "other", "", "none")));
 }
+
+#[test]
+fn each_distinct_payload_is_read_once_and_a_damaged_one_heals() {
+    let dir = Scratch::new("layer-reads");
+    let root = Access::root();
+    let key = CacheKey::compute(None, "FROM shared", "", "none");
+    let mut fs = Fs::new();
+    fs.mkdir_p("/data", 0o755).unwrap();
+    // 24 files share one payload, 40 are empty, one is unique: three
+    // distinct payloads behind 65 file entries.
+    for i in 0..24 {
+        fs.write_file(
+            &format!("/data/same-{i}"),
+            0o644,
+            b"one payload".to_vec(),
+            &root,
+        )
+        .unwrap();
+    }
+    for i in 0..40 {
+        fs.write_file(&format!("/data/empty-{i}"), 0o644, Vec::new(), &root)
+            .unwrap();
+    }
+    fs.write_file("/data/unique", 0o644, b"only me".to_vec(), &root)
+        .unwrap();
+    let layer = Layer {
+        id: key.clone(),
+        parent: None,
+        fs,
+        state: LayerState {
+            args: Vec::new(),
+            stage: None,
+        },
+    };
+    let want = layer.fs.tree_digest();
+    let (_, disk) = open_layer_store(dir.path()).unwrap();
+    disk.persist(&layer);
+    assert_eq!(disk.error_count(), 0, "{:?}", disk.last_error());
+
+    // A fresh handle reads the tree record once and each distinct
+    // payload once — not once per file — and every file with the same
+    // payload shares the one verified blob.
+    let (_, fresh) = open_layer_store(dir.path()).unwrap();
+    let loaded = fresh.load(&key).expect("layer loads");
+    assert_eq!(loaded.fs.tree_digest(), want);
+    assert_eq!(
+        fresh.cas().stats().reads,
+        3 + 1,
+        "3 payloads + 1 tree record"
+    );
+    let blob = |path: &str| loaded.fs.read_file_blob(path, &root).unwrap();
+    assert!(Arc::ptr_eq(&blob("/data/same-0"), &blob("/data/same-23")));
+
+    // Damage the shared payload on disk: the one read of it fails
+    // verification, so the whole load is a miss, noted once.
+    let shared = zr_vfs::Blob::new(b"one payload".to_vec()).sha_hex();
+    std::fs::write(dir.join(&format!("blobs/sha256/{shared}")), b"one paylaod").unwrap();
+    let (_, next) = open_layer_store(dir.path()).unwrap();
+    assert!(next.load(&key).is_none(), "a damaged payload is a miss");
+    assert_eq!(next.error_count(), 1);
+    assert!(next.last_error().unwrap().contains("fails verification"));
+
+    // The build re-executes the layer and persists it again. The
+    // damaged payload is rewritten, not dedup-skipped, so the store is
+    // healed for every later handle.
+    next.persist(&layer);
+    assert_eq!(next.error_count(), 1, "{:?}", next.last_error());
+    let (_, healed) = open_layer_store(dir.path()).unwrap();
+    let reloaded = healed.load(&key).expect("healed layer loads");
+    assert_eq!(reloaded.fs.tree_digest(), want);
+    assert_eq!(healed.error_count(), 0);
+}
+
+#[test]
+fn read_only_sessions_never_build_the_index() {
+    let dir = Scratch::new("layer-lazy-index");
+    let k1 = CacheKey::compute(None, "FROM a", "", "none");
+    let k2 = CacheKey::compute(Some(&k1), "RUN b", "", "none");
+    {
+        let (store, _) = open_layer_store(dir.path()).unwrap();
+        store.insert(sample_layer(&k1, None, "one"));
+        store.insert(sample_layer(&k2, Some(&k1), "two"));
+    }
+    let rotten = dir.join("roots/rotten");
+    std::fs::write(&rotten, b"not a pin record").unwrap();
+
+    // A read-only session — open, walk the chain's state, materialize
+    // the tip — never loads the pin records, so it never meets (or
+    // quarantines) the corrupt one.
+    {
+        let (_, disk) = open_layer_store(dir.path()).unwrap();
+        assert!(disk.load_state(&k1).is_some());
+        assert!(disk.load(&k2).is_some());
+        assert_eq!(disk.error_count(), 0, "{:?}", disk.last_error());
+    }
+    assert!(rotten.exists(), "reads never build the index");
+
+    // The first put builds the index, quarantining the corrupt pin...
+    let (_, disk) = open_layer_store(dir.path()).unwrap();
+    assert!(rotten.exists(), "open defers the pin scan");
+    disk.cas().put(b"new content").unwrap();
+    assert!(!rotten.exists(), "quarantined by the first put");
+    assert_eq!(disk.cas().stats().corrupt_roots, 1);
+    // ...once: later index operations on this handle do not rescan.
+    let rotten2 = dir.join("roots/rotten2");
+    std::fs::write(&rotten2, b"garbage").unwrap();
+    disk.cas().put(b"more content").unwrap();
+    assert_eq!(disk.cas().stats().corrupt_roots, 1, "indexed once");
+    assert!(rotten2.exists());
+
+    // stats() builds the index just the same.
+    let (_, other) = open_layer_store(dir.path()).unwrap();
+    assert!(rotten2.exists());
+    assert_eq!(other.cas().stats().corrupt_roots, 1);
+    assert!(!rotten2.exists(), "quarantined by the first stats()");
+    assert_eq!(other.cas().roots().len(), 2, "both healthy layer pins");
+}

@@ -35,8 +35,13 @@ impl Blob {
         })
     }
 
-    /// An empty blob (fresh `Arc`; empty files are rare enough that a
-    /// shared singleton would buy nothing).
+    /// An empty blob, as a fresh `Arc`. Empty files are common, not
+    /// rare — `touch` targets, lock files, placeholders: 300 of the 318
+    /// file entries in each perfbench dev-loop project are empty. A
+    /// fresh one costs an allocation of no bytes and, once, a hash of
+    /// nothing. Where a per-file cost would show — reloading a
+    /// persisted tree — the store already hands every file with the
+    /// same payload one shared blob (`zr_store::decode_tree`).
     pub fn empty() -> Arc<Blob> {
         Blob::new(Vec::new())
     }
