@@ -1,8 +1,9 @@
 #!/bin/sh
 # Probabilistic fault soak over the real CLI binary: seeded random
-# ZR_FAULT plans (worker panics and stalls, daemon submit poison and
-# stalls, store write errors, registry pull errors) against build-many
-# batches, alternating between the per-batch scheduler and daemon mode.
+# ZR_FAULT plans (worker panics and stalls, crashes inside the store's
+# batched layer commit, registry pull errors) against build-many
+# batches. Each round persists into its own fresh --cache-dir, so the
+# store point has commits to interrupt.
 #
 # The gate is liveness, not success: builds are *allowed* to fail under
 # injected faults, but the process must never hang (a timeout kills it)
@@ -52,20 +53,15 @@ while [ "$round" -le "$ROUNDS" ]; do
     PLAN="seed=$((SEED + round));\
 sched.stage.panic=p0.05;\
 sched.stage.stall=p0.08:20;\
-sched.daemon.submit.poison=p0.25;\
-sched.daemon.submit.stall=p0.25:15;\
-store.write.err=p0.03;\
+store.commit.crash=p0.03;\
 registry.pull.err=p0.03"
-    # Odd rounds: per-batch scheduler. Even rounds: daemon (resident
-    # pool, which is what the submit.* points target).
-    MODE=""
-    [ $((round % 2)) -eq 0 ] && MODE="--daemon"
-    echo "fault-soak: round $round/$ROUNDS $MODE ZR_FAULT=\"$PLAN\""
+    echo "fault-soak: round $round/$ROUNDS ZR_FAULT=\"$PLAN\""
 
     OUT="$WORK/round-$round.log"
     set +e
     ZR_FAULT="$PLAN" timeout "$TIMEOUT" \
-        "$ZR" build-many --jobs 4 $MODE $BATCH > "$OUT" 2>&1
+        "$ZR" build-many --jobs 4 --cache-dir "$WORK/store-$round" \
+        $BATCH > "$OUT" 2>&1
     rc=$?
     set -e
     # 0 (all ok) and 1 (some builds failed under faults) are both
@@ -82,7 +78,7 @@ registry.pull.err=p0.03"
         tail -40 "$OUT" >&2
         exit 1
     fi
-    grep -E '^\[(sched|fault)\]' "$OUT" || true
+    grep -E '^(\[(sched|fault)\]|warning:)' "$OUT" || true
     round=$((round + 1))
 done
 echo "fault-soak: $ROUNDS rounds survived (no hang, every build terminal)"

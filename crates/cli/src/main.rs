@@ -3,14 +3,15 @@
 //! ```text
 //! zr-image build -t TAG [--force=MODE] [--target STAGE] [--no-cache]
 //!                [--cache-stats] [--cache-limit BYTES] [--cache-dir DIR]
-//!                [--retry N] [--timeout SECS] [--fault-plan PLAN]
+//!                [--store-limit BYTES] [--registry ADDR] [--retry N]
+//!                [--timeout SECS] [--fault-plan PLAN]
 //!                [-f DOCKERFILE] [CONTEXT_DIR]
 //! zr-image build-many [--jobs N] [--force=MODE] [--target STAGE]
 //!                [--no-cache] [--cache-stats] [--cache-limit BYTES]
 //!                [--cache-dir DIR] [--store-limit BYTES] [--blob-limit BYTES]
 //!                [--shards N] [--pull-latency-ms N] [--fail-fast]
-//!                [--daemon] [--follow ID] [--context DIR]
-//!                [--fault-plan PLAN] DOCKERFILE…
+//!                [--follow ID] [--context DIR] [--fault-plan PLAN]
+//!                DOCKERFILE…
 //! zr-image export --output DIR [build flags…]   # build, then OCI layout
 //! zr-image import DIR           # OCI layout -> image, prints the digest
 //! zr-image inspect [--json] DIR # layout summary + image digest
@@ -57,9 +58,7 @@ use zr_build::{BuildOptions, Builder, CacheMode};
 use zr_image::{PullCost, ShardedRegistry};
 use zr_kernel::Kernel;
 use zr_registry::RemoteRegistry;
-use zr_sched::{
-    BatchHandle, BuildRequest, BuildStatus, Daemon, LogEvent, Scheduler, SchedulerConfig,
-};
+use zr_sched::{BatchHandle, BuildRequest, BuildStatus, LogEvent, Scheduler, SchedulerConfig};
 use zr_syscalls::filtered::{filtered_on, FILTERED};
 use zr_syscalls::Arch;
 
@@ -74,7 +73,7 @@ fn usage() -> ExitCode {
         "       zr-image build-many [--jobs N] [--force=MODE] [--target STAGE] [--no-cache] \
          [--cache-stats] [--cache-limit BYTES] [--cache-dir DIR] [--store-limit BYTES] \
          [--blob-limit BYTES] [--shards N] [--pull-latency-ms N] [--fail-fast] \
-         [--daemon] [--follow ID] [--context DIR] [--fault-plan PLAN] DOCKERFILE…"
+         [--follow ID] [--context DIR] [--fault-plan PLAN] DOCKERFILE…"
     );
     eprintln!("       zr-image export --output DIR [build flags…]");
     eprintln!("       zr-image import DIR");
@@ -954,7 +953,6 @@ fn cmd_build_many(args: &[String]) -> ExitCode {
     let mut shards = ShardedRegistry::DEFAULT_SHARDS;
     let mut pull_latency_ms = 0u64;
     let mut fail_fast = false;
-    let mut daemon_mode = false;
     let mut follow: Option<String> = None;
     let mut target: Option<String> = None;
     let mut context_dir: Option<String> = None;
@@ -971,7 +969,6 @@ fn cmd_build_many(args: &[String]) -> ExitCode {
                 Some(stage) => target = Some(stage.clone()),
                 None => return usage(),
             },
-            "--daemon" => daemon_mode = true,
             "--follow" => match it.next() {
                 Some(id) => follow = Some(id.clone()),
                 None => return usage(),
@@ -1095,44 +1092,17 @@ fn cmd_build_many(args: &[String]) -> ExitCode {
     };
 
     let t0 = std::time::Instant::now();
-    // Both paths end holding the batch reports plus the shared stat
-    // handles, so the summary below is branch-agnostic.
-    let (reports, registry, layers, disk) = if daemon_mode {
-        let daemon = match Daemon::try_new(config) {
-            Ok(daemon) => daemon,
-            Err(e) => {
-                eprintln!("error: --cache-dir: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let handle = daemon.submit(requests);
-        follow_stream(&handle, follow_idx, &follow);
-        let reports = handle.wait();
-        let handles = (
-            daemon.registry().clone(),
-            daemon.layers().clone(),
-            daemon.disk().cloned(),
-        );
-        daemon.shutdown();
-        (reports, handles.0, handles.1, handles.2)
-    } else {
-        let sched = match Scheduler::try_new(config) {
-            Ok(sched) => sched,
-            Err(e) => {
-                eprintln!("error: --cache-dir: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let handle = sched.submit(requests);
-        follow_stream(&handle, follow_idx, &follow);
-        let reports = handle.wait();
-        (
-            reports,
-            sched.registry().clone(),
-            sched.layers().clone(),
-            sched.disk().cloned(),
-        )
+    let sched = match Scheduler::try_new(config) {
+        Ok(sched) => sched,
+        Err(e) => {
+            eprintln!("error: --cache-dir: {e}");
+            return ExitCode::FAILURE;
+        }
     };
+    let handle = sched.submit(requests);
+    follow_stream(&handle, follow_idx, &follow);
+    let reports = handle.wait();
+    let (registry, layers, disk) = (sched.registry(), sched.layers(), sched.disk());
     let elapsed = t0.elapsed();
 
     let mut failures = 0usize;
@@ -1175,12 +1145,12 @@ fn cmd_build_many(args: &[String]) -> ExitCode {
             "[registry] blob cache: {} bytes (budget {}), {} evictions",
             rstats.blob_bytes, rstats.blob_budget, rstats.evictions
         );
-        if let Some(disk) = &disk {
+        if let Some(disk) = disk {
             eprintln!("[store] {}", disk.cas().stats());
             eprintln!("[store] {}", disk.stats());
         }
     }
-    if let Some(disk) = &disk {
+    if let Some(disk) = disk {
         if disk.error_count() > 0 {
             eprintln!(
                 "warning: {} store operations failed (last: {})",

@@ -78,14 +78,23 @@ pub mod points {
     /// A scheduler worker stalls (arg = milliseconds) before a stage —
     /// for cancellation-race and deadline tests.
     pub const SCHED_STAGE_STALL: &str = "sched.stage.stall";
-    /// The daemon's submit path stalls (arg = milliseconds) before
-    /// enqueuing the batch — widens the admission/shutdown race window.
-    pub const SCHED_DAEMON_SUBMIT_STALL: &str = "sched.daemon.submit.stall";
-    /// The daemon's submit path panics *inside* the batch-queue
-    /// critical section, poisoning the queue mutex. The daemon absorbs
-    /// the poison and retries the enqueue; resident workers (which
-    /// recover poisoned guards) must survive.
-    pub const SCHED_DAEMON_SUBMIT_POISON: &str = "sched.daemon.submit.poison";
+
+    /// Every point above: the names a parsed plan may use.
+    pub const ALL: &[&str] = &[
+        STORE_WRITE_ERR,
+        STORE_WRITE_TORN,
+        STORE_RENAME_ERR,
+        STORE_FSYNC_ERR,
+        STORE_COMMIT_CRASH,
+        WIRE_CLIENT_RESET,
+        WIRE_SERVER_RESET,
+        WIRE_SERVER_HTTP500,
+        WIRE_SERVER_TRUNCATE,
+        WIRE_SERVER_STALL,
+        REGISTRY_PULL_ERR,
+        SCHED_STAGE_PANIC,
+        SCHED_STAGE_STALL,
+    ];
 }
 
 // ---------------------------------------------------------------------
@@ -206,7 +215,9 @@ impl FaultPlan {
         self
     }
 
-    /// Parse a plan string (see the type docs for the syntax).
+    /// Parse a plan string (see the type docs for the syntax). A point
+    /// name outside [`points::ALL`] is an error: no hook would ever
+    /// fire for it, so the plan would silently inject nothing.
     pub fn parse(text: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::new();
         for clause in text.split(';') {
@@ -254,6 +265,9 @@ impl FaultPlan {
                 };
                 Trigger::Counted { skip, times }
             };
+            if !points::ALL.contains(&name) {
+                return Err(format!("unknown fault point {name:?} in {clause:?}"));
+            }
             plan.points.push(PointSpec {
                 name: name.to_string(),
                 trigger,
@@ -639,7 +653,14 @@ mod tests {
     #[test]
     fn malformed_plans_are_rejected() {
         for bad in [
-            "nonsense", "seed=abc", "x=1:y", "x=p1.5", "x=pz", "x=1@z", "x=z",
+            "nonsense",
+            "seed=abc",
+            "x=1:y",
+            "x=p1.5",
+            "x=pz",
+            "x=1@z",
+            "x=z",
+            "no.such.point=1",
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "{bad:?} must not parse");
         }
@@ -648,31 +669,33 @@ mod tests {
 
     #[test]
     fn counted_triggers_fire_deterministically() {
-        let plan = FaultPlan::parse("a=2@1:9").expect("parse");
+        let plan = FaultPlan::parse("sched.stage.stall=2@1:9").expect("parse");
         let _guard = install(&plan);
         assert!(active());
         // Hit 0 skipped; hits 1 and 2 fire with the arg; then dry.
-        assert_eq!(hit("a"), None);
-        assert_eq!(hit("a"), Some(9));
-        assert_eq!(hit("a"), Some(9));
-        assert_eq!(hit("a"), None);
+        let stall = points::SCHED_STAGE_STALL;
+        assert_eq!(hit(stall), None);
+        assert_eq!(hit(stall), Some(9));
+        assert_eq!(hit(stall), Some(9));
+        assert_eq!(hit(stall), None);
         assert_eq!(hit("unknown.point"), None);
         assert_eq!(counters().injected, 2);
         drop(_guard);
         assert!(!active());
-        assert_eq!(hit("a"), None, "uninstalled plans never fire");
+        assert_eq!(hit(stall), None, "uninstalled plans never fire");
     }
 
     #[test]
     fn probability_triggers_replay_with_the_seed() {
-        let plan = FaultPlan::parse("seed=11;p.point=p0.5").expect("parse");
+        let plan = FaultPlan::parse("seed=11;registry.pull.err=p0.5").expect("parse");
+        let point = points::REGISTRY_PULL_ERR;
         let first: Vec<bool> = {
             let _guard = install(&plan);
-            (0..64).map(|_| fires("p.point")).collect()
+            (0..64).map(|_| fires(point)).collect()
         };
         let second: Vec<bool> = {
             let _guard = install(&plan);
-            (0..64).map(|_| fires("p.point")).collect()
+            (0..64).map(|_| fires(point)).collect()
         };
         assert_eq!(first, second, "same seed, same schedule");
         assert!(first.iter().any(|&b| b) && !first.iter().all(|&b| b));

@@ -9,6 +9,11 @@
 //! so the only shared edges are the pull-through blob cache and the
 //! layer cache — both designed for concurrent access.
 //!
+//! There is one pool lifecycle: each batch spawns its workers and
+//! [`BatchHandle::wait`] joins them. The caches outlive the batch — they
+//! belong to the scheduler — so the next batch on the same scheduler
+//! replays what the last one built.
+//!
 //! ```
 //! use zeroroot_core::Mode;
 //! use zr_build::BuildOptions;
@@ -40,10 +45,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod daemon;
 mod scheduler;
 
-pub use daemon::Daemon;
 pub use scheduler::{
     BatchHandle, BuildReport, BuildRequest, BuildStatus, LogEvent, Priority, Scheduler,
     SchedulerConfig,

@@ -258,7 +258,7 @@ struct Slot {
 /// One schedulable unit: a whole build, or one stage of a planned
 /// multi-stage build.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Task {
+struct Task {
     build: usize,
     /// `None` = opaque whole-build task.
     stage: Option<usize>,
@@ -266,7 +266,7 @@ pub(crate) struct Task {
 
 /// Which queue class a worker drains first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Affinity {
+enum Affinity {
     /// Prefer the high-priority queue; steal normal work when idle.
     High,
     /// Prefer the normal queue; steal high-priority work when idle.
@@ -311,13 +311,13 @@ impl Queues {
 /// bounds any lost-wakeup stall, so correctness never depends on a
 /// perfectly placed `notify`.
 #[derive(Default)]
-pub(crate) struct WorkSignal {
+struct WorkSignal {
     mutex: Mutex<()>,
     cond: Condvar,
 }
 
 impl WorkSignal {
-    pub(crate) fn notify(&self) {
+    fn notify(&self) {
         let _guard = lock(&self.mutex);
         self.cond.notify_all();
     }
@@ -325,7 +325,7 @@ impl WorkSignal {
     /// Block until `ready()` holds, re-checking under the signal lock
     /// (so a notify between check and wait is never lost) and on a
     /// short timeout.
-    pub(crate) fn wait_until(&self, mut ready: impl FnMut() -> bool) {
+    fn wait_until(&self, mut ready: impl FnMut() -> bool) {
         loop {
             if ready() {
                 return;
@@ -379,7 +379,7 @@ struct DagState {
 }
 
 /// State shared by every worker of one batch.
-pub(crate) struct BatchShared {
+struct BatchShared {
     requests: Vec<BuildRequest>,
     /// Parallel to `requests`: `Some` for planned multi-stage builds.
     dags: Vec<Option<DagBuild>>,
@@ -395,7 +395,7 @@ pub(crate) struct BatchShared {
     fail_fast: bool,
     registry: Arc<ShardedRegistry>,
     layers: LayerStore,
-    signal: Arc<WorkSignal>,
+    signal: WorkSignal,
     /// Tasks executing right now / the high-water mark of that gauge.
     running: AtomicUsize,
     peak: AtomicUsize,
@@ -406,20 +406,12 @@ pub(crate) struct BatchShared {
 }
 
 impl BatchShared {
-    pub(crate) fn is_complete(&self) -> bool {
+    fn is_complete(&self) -> bool {
         self.completed.load(Ordering::SeqCst) >= self.requests.len()
     }
 
-    pub(crate) fn has_work(&self) -> bool {
-        !lock(&self.queue).is_empty()
-    }
-
-    pub(crate) fn try_pop(&self, affinity: Affinity) -> Option<(Task, bool)> {
+    fn try_pop(&self, affinity: Affinity) -> Option<(Task, bool)> {
         lock(&self.queue).pop_for(affinity)
-    }
-
-    pub(crate) fn note_steal(&self) {
-        self.steals.fetch_add(1, Ordering::SeqCst);
     }
 }
 
@@ -484,12 +476,11 @@ fn plan_request(request: &BuildRequest) -> Option<DagBuild> {
 
 /// Assemble a batch: plan every request, seed the queues with opaque
 /// tasks and dependency-free root stages, and allocate the slots.
-pub(crate) fn make_batch(
+fn make_batch(
     requests: Vec<BuildRequest>,
     fail_fast: bool,
     registry: Arc<ShardedRegistry>,
     layers: LayerStore,
-    signal: Arc<WorkSignal>,
 ) -> Arc<BatchShared> {
     let dags: Vec<Option<DagBuild>> = requests.iter().map(plan_request).collect();
     let mut queues = Queues::default();
@@ -533,7 +524,7 @@ pub(crate) fn make_batch(
         fail_fast,
         registry,
         layers,
-        signal,
+        signal: WorkSignal::default(),
         running: AtomicUsize::new(0),
         peak: AtomicUsize::new(0),
         steals: AtomicUsize::new(0),
@@ -991,7 +982,7 @@ fn execute_stage(shared: &BatchShared, build: usize, stage: usize) {
 /// Run one popped task end to end, maintaining the concurrency gauge.
 /// Every outcome — success, failure, panic, cancellation — lands in
 /// the build's slot; nothing a build does can poison its neighbors.
-pub(crate) fn run_task(shared: &BatchShared, task: Task) {
+fn run_task(shared: &BatchShared, task: Task) {
     if shared.cancelled.load(Ordering::SeqCst)
         || shared.build_cancelled[task.build].load(Ordering::SeqCst)
     {
@@ -1016,7 +1007,7 @@ fn worker(shared: &Arc<BatchShared>, affinity: Affinity) {
         match shared.try_pop(affinity) {
             Some((task, stolen)) => {
                 if stolen {
-                    shared.note_steal();
+                    shared.steals.fetch_add(1, Ordering::SeqCst);
                 }
                 run_task(shared, task);
             }
@@ -1026,7 +1017,7 @@ fn worker(shared: &Arc<BatchShared>, affinity: Affinity) {
                 }
                 shared
                     .signal
-                    .wait_until(|| shared.has_work() || shared.is_complete());
+                    .wait_until(|| !lock(&shared.queue).is_empty() || shared.is_complete());
             }
         }
     }
@@ -1040,10 +1031,6 @@ pub struct BatchHandle {
 }
 
 impl BatchHandle {
-    pub(crate) fn new(shared: Arc<BatchShared>, workers: Vec<JoinHandle<()>>) -> BatchHandle {
-        BatchHandle { shared, workers }
-    }
-
     /// Current status of request `idx` (input order).
     pub fn status(&self, idx: usize) -> Option<BuildStatus> {
         lock(&self.shared.slots).get(idx).map(|s| s.status)
@@ -1161,10 +1148,8 @@ impl BatchHandle {
     /// Block until every build is terminal and return one report per
     /// request, in input order.
     pub fn wait(self) -> Vec<BuildReport> {
-        let own_workers = !self.workers.is_empty();
         self.shared.signal.wait_until(|| {
-            self.shared.is_complete()
-                || (own_workers && self.workers.iter().all(|w| w.is_finished()))
+            self.shared.is_complete() || self.workers.iter().all(|w| w.is_finished())
         });
         for w in self.workers {
             let _ = w.join();
@@ -1202,11 +1187,11 @@ impl BatchHandle {
 /// The build scheduler: a configurable worker pool over one shared
 /// registry and one shared layer cache.
 ///
-/// Batches are independent — each `submit`/`build_many` spins up its
-/// own workers — but the registry's pull-through blob cache and the
-/// layer store persist across batches, so a second batch of familiar
-/// Dockerfiles replays instead of executing. For a long-lived pool
-/// that persists across batches, see [`Daemon`](crate::Daemon).
+/// Each `submit`/`build_many` spawns its own workers and the batch's
+/// [`BatchHandle::wait`] joins them, so no thread outlives its batch.
+/// The registry's pull-through blob cache and the layer store belong to
+/// the scheduler, not the batch: a second batch of familiar Dockerfiles
+/// on the same scheduler replays instead of executing.
 pub struct Scheduler {
     config: SchedulerConfig,
     registry: Arc<ShardedRegistry>,
@@ -1215,12 +1200,6 @@ pub struct Scheduler {
     /// surface absorbed store errors and stats (persist failures must
     /// not fail builds, but they must not be invisible either).
     disk: Option<Arc<zr_store::DiskLayers>>,
-}
-
-impl Default for Scheduler {
-    fn default() -> Scheduler {
-        Scheduler::new(SchedulerConfig::default())
-    }
 }
 
 impl Scheduler {
@@ -1257,24 +1236,12 @@ impl Scheduler {
             }
             None => (LayerStore::with_budget(config.cache_limit), None),
         };
-        let mut sched = Scheduler::with_shared(config, registry, layers);
-        sched.disk = disk;
-        Ok(sched)
-    }
-
-    /// A scheduler over externally owned registry/cache handles (share
-    /// them with other schedulers, a CLI builder, tests, ...).
-    pub fn with_shared(
-        config: SchedulerConfig,
-        registry: Arc<ShardedRegistry>,
-        layers: LayerStore,
-    ) -> Scheduler {
-        Scheduler {
+        Ok(Scheduler {
             config,
             registry,
             layers,
-            disk: None,
-        }
+            disk,
+        })
     }
 
     /// The shared registry handle.
@@ -1300,14 +1267,12 @@ impl Scheduler {
     /// multi-stage build still gets enough workers to overlap its
     /// independent stages.
     pub fn submit(&self, requests: Vec<BuildRequest>) -> BatchHandle {
-        let signal = Arc::new(WorkSignal::default());
         let has_high = requests.iter().any(|r| r.priority == Priority::High);
         let shared = make_batch(
             requests,
             self.config.fail_fast,
             self.registry.clone(),
             self.layers.clone(),
-            signal,
         );
         let width: usize = shared
             .dags
@@ -1329,7 +1294,7 @@ impl Scheduler {
                 std::thread::spawn(move || worker(&shared, affinity))
             })
             .collect();
-        BatchHandle::new(shared, workers)
+        BatchHandle { shared, workers }
     }
 
     /// Build a whole batch and block for its reports, in input order.

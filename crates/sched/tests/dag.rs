@@ -1,5 +1,5 @@
 //! Stage-DAG scheduling: determinism, stage overlap, cancellation
-//! across the DAG, work stealing, and daemon mode.
+//! across the DAG, work stealing, and per-stage log streaming.
 
 use std::time::Duration;
 
@@ -8,8 +8,7 @@ use zr_build::BuildOptions;
 use zr_fault::{points, FaultPlan};
 use zr_image::PullCost;
 use zr_sched::{
-    BatchHandle, BuildReport, BuildRequest, BuildStatus, Daemon, LogEvent, Scheduler,
-    SchedulerConfig,
+    BatchHandle, BuildReport, BuildRequest, BuildStatus, LogEvent, Scheduler, SchedulerConfig,
 };
 
 /// The canonical diamond: two independent middle stages off one base,
@@ -286,39 +285,9 @@ fn uniform_class_batches_never_steal() {
 }
 
 #[test]
-fn daemon_pool_persists_caches_across_batches() {
-    let daemon = Daemon::new(SchedulerConfig {
-        jobs: 2,
-        ..SchedulerConfig::default()
-    });
-    let first = daemon.build_many(vec![diamond_request("a")]);
-    assert_eq!(
-        first[0].status,
-        BuildStatus::Done,
-        "{}",
-        first[0].result.log_text()
-    );
-    assert_eq!(first[0].result.cache.hits, 0);
-    // Second batch, same resident pool: everything replays from the
-    // shared layer store the first batch kept warm.
-    let second = daemon.build_many(vec![diamond_request("b")]);
-    assert_eq!(second[0].status, BuildStatus::Done);
-    assert_eq!(
-        second[0].result.cache.misses,
-        0,
-        "{}",
-        second[0].result.log_text()
-    );
-    daemon.shutdown();
-}
-
-#[test]
 fn daemon_streams_per_stage_logs() {
-    let daemon = Daemon::new(SchedulerConfig {
-        jobs: 2,
-        ..SchedulerConfig::default()
-    });
-    let handle = daemon.submit(vec![diamond_request("d")]);
+    let sched = scheduler(2);
+    let handle = sched.submit(vec![diamond_request("d")]);
     let rx = handle.subscribe(0);
     let mut stages = Vec::new();
     let mut done = None;
@@ -345,5 +314,4 @@ fn daemon_streams_per_stage_logs() {
     }
     let reports = handle.wait();
     assert_eq!(reports[0].status, BuildStatus::Done);
-    daemon.shutdown();
 }

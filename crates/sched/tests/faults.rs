@@ -1,6 +1,6 @@
 //! Scheduler behavior under injected worker faults: panic isolation,
-//! retry-once degradation, deterministic dependent handling, and
-//! daemon survival of a poisoned batch.
+//! retry-once degradation, deterministic dependent handling, and a
+//! scheduler's shared caches surviving a poisoned batch.
 //!
 //! Every test installs a [`zr_fault::FaultPlan`]; the returned guard
 //! holds the fault plane's process-wide serial lock, so these tests
@@ -10,7 +10,7 @@
 use zeroroot_core::Mode;
 use zr_build::BuildOptions;
 use zr_fault::{points, FaultPlan};
-use zr_sched::{BuildRequest, BuildStatus, Daemon, Scheduler, SchedulerConfig};
+use zr_sched::{BuildRequest, BuildStatus, Scheduler, SchedulerConfig};
 
 /// The canonical diamond from the DAG suite: two independent middle
 /// stages off one base, joined by `COPY --from=`.
@@ -112,22 +112,20 @@ fn a_stalled_worker_delays_but_does_not_fail_the_build() {
 #[test]
 fn the_daemon_survives_a_poisoned_batch_and_accepts_the_next_submit() {
     let want = clean_digest("healthy");
-    let daemon = Daemon::new(SchedulerConfig {
-        jobs: 2,
-        ..SchedulerConfig::default()
-    });
+    let sched = scheduler(2);
     {
         // Enough fires that the victim's base stage panics on its
         // retry too: the whole first batch fails.
         let _guard =
             zr_fault::install(&FaultPlan::new().counted(points::SCHED_STAGE_PANIC, 8, 0, 0));
-        let poisoned = daemon.build_many(vec![diamond_request("poisoned")]);
+        let poisoned = sched.build_many(vec![diamond_request("poisoned")]);
         assert_eq!(poisoned[0].status, BuildStatus::Failed);
     }
-    // Plan uninstalled: the resident pool must take the next batch and
-    // build it fault-free (warm layers from the failed batch are fine —
-    // the base stage never completed, so the digest check is real).
-    let healthy = daemon.build_many(vec![diamond_request("healthy")]);
+    // Plan uninstalled: the same scheduler's shared registry and layer
+    // store must serve the next batch and build it fault-free (warm
+    // layers from the failed batch are fine — the base stage never
+    // completed, so the digest check is real).
+    let healthy = sched.build_many(vec![diamond_request("healthy")]);
     assert_eq!(
         healthy[0].status,
         BuildStatus::Done,
@@ -135,7 +133,6 @@ fn the_daemon_survives_a_poisoned_batch_and_accepts_the_next_submit() {
         healthy[0].result.log_text()
     );
     assert_eq!(healthy[0].result.image.as_ref().unwrap().digest(), want);
-    daemon.shutdown();
 }
 
 #[test]
@@ -157,57 +154,4 @@ fn cancellation_during_a_panic_retry_is_deterministic() {
         "cancelled-while-retrying build must land terminal, got {}",
         reports[0].status
     );
-}
-
-#[test]
-fn a_poisoned_submit_is_absorbed_without_killing_resident_workers() {
-    let want = clean_digest("after-poison");
-    let _guard =
-        zr_fault::install(&FaultPlan::new().counted(points::SCHED_DAEMON_SUBMIT_POISON, 1, 0, 0));
-    let daemon = Daemon::new(SchedulerConfig {
-        jobs: 2,
-        ..SchedulerConfig::default()
-    });
-    // The first submit panics inside the batch-queue critical section,
-    // poisoning the queue mutex. The daemon absorbs the panic, retries
-    // the enqueue, and the batch still runs to completion.
-    let first = daemon.build_many(vec![diamond_request("poisoned-submit")]);
-    assert_eq!(
-        first[0].status,
-        BuildStatus::Done,
-        "{}",
-        first[0].result.log_text()
-    );
-    // The resident pool outlives the poisoned mutex: a second batch on
-    // the same workers builds clean and digests like a fault-free run.
-    let second = daemon.build_many(vec![diamond_request("after-poison")]);
-    assert_eq!(second[0].status, BuildStatus::Done);
-    assert_eq!(second[0].result.image.as_ref().unwrap().digest(), want);
-    let c = zr_fault::counters();
-    assert_eq!(c.injected, 1);
-    assert!(c.retries >= 1, "the absorbed submit counts as a retry: {c}");
-    daemon.shutdown();
-}
-
-#[test]
-fn a_stalled_submit_delays_admission_but_loses_nothing() {
-    let _guard =
-        zr_fault::install(&FaultPlan::new().counted(points::SCHED_DAEMON_SUBMIT_STALL, 1, 0, 30));
-    let daemon = Daemon::new(SchedulerConfig {
-        jobs: 2,
-        ..SchedulerConfig::default()
-    });
-    let start = std::time::Instant::now();
-    let reports = daemon.build_many(vec![diamond_request("slow-submit")]);
-    assert_eq!(
-        reports[0].status,
-        BuildStatus::Done,
-        "{}",
-        reports[0].result.log_text()
-    );
-    assert!(
-        start.elapsed() >= std::time::Duration::from_millis(30),
-        "the injected stall must actually delay admission"
-    );
-    daemon.shutdown();
 }
