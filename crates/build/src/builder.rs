@@ -2,10 +2,12 @@
 //!
 //! Mirrors `ch-image build`: parse, pull the base, set up an (almost
 //! always Type III) container, then walk the instructions. Every `RUN`
-//! is bracketed by `RootEmulation::prepare` / `teardown` — the
-//! `--force` hook the paper adds to Charliecloud — and its console
-//! output is folded into the build log, so the published Figure 1/2
-//! transcripts fall out of `log_text()` verbatim.
+//! gets its own process forked from the container init — ch-image's
+//! per-RUN `ch-run` — bracketed by `RootEmulation::prepare` /
+//! `teardown` (the `--force` hook the paper adds to Charliecloud) and
+//! reaped afterwards, so each RUN carries exactly one filter. Its
+//! console output is folded into the build log, so the published
+//! Figure 1/2 transcripts fall out of `log_text()` verbatim.
 //!
 //! Builds are cached at instruction granularity (ch-image's build
 //! cache): each successful instruction snapshots the container
@@ -19,7 +21,7 @@ use crate::options::BuildOptions;
 use crate::result::{BuildError, BuildResult};
 use std::collections::HashMap;
 use std::sync::Arc;
-use zeroroot_core::{make, Mode, PrepareEnv};
+use zeroroot_core::{make, Mode, PrepareEnv, RootEmulation};
 use zr_dockerfile::{parse, substitute, CopySpec, Dockerfile, Instruction};
 use zr_plan::{BaseRef, BuildPlan};
 
@@ -524,7 +526,7 @@ impl Builder {
                     log.push(format!("{n}. {keyword} {raw}"));
                 }
                 Instruction::RunShell(_) | Instruction::RunExec(_) => {
-                    let stage_ref = stage.as_mut().ok_or_else(|| missing_from("RUN"))?;
+                    let stage_ref = stage.as_ref().ok_or_else(|| missing_from("RUN"))?;
                     self.run_instruction(
                         kernel,
                         stage_ref,
@@ -652,12 +654,18 @@ impl Builder {
         })
     }
 
-    /// One RUN instruction: arm the strategy, exec, fold output, disarm.
+    /// One RUN instruction in its own process, as ch-image runs each RUN
+    /// through a fresh `ch-run`: fork it from the container init, arm
+    /// the strategy on it, exec the command from it, fold the output
+    /// into the log, then disarm and reap it — on every exit path. The
+    /// init is never armed, so one RUN's filter, tracer or preload shim
+    /// never reaches the next instruction; what persists is only the
+    /// filesystem, the `WORKDIR` cwd and the credentials.
     #[allow(clippy::too_many_arguments)] // internal; bundling hurts call sites
     fn run_instruction(
         &mut self,
         kernel: &mut Kernel,
-        stage: &mut Stage,
+        stage: &Stage,
         opts: &BuildOptions,
         instruction: &Instruction,
         n: u32,
@@ -666,8 +674,39 @@ impl Builder {
         modified: &mut u32,
     ) -> Result<(), BuildError> {
         let strategy = make(opts.force);
-        let pid = stage.container.init_pid;
+        let pid = kernel.fork(stage.container.init_pid);
+        let outcome = Self::run_in(
+            kernel,
+            pid,
+            strategy.as_ref(),
+            stage,
+            opts,
+            instruction,
+            n,
+            args,
+            log,
+            modified,
+        );
+        strategy.teardown(kernel);
+        kernel.reap(pid);
+        outcome
+    }
 
+    /// The body of [`Builder::run_instruction`], on the RUN's own process
+    /// `pid`: provision, arm, assemble argv, exec, fold the console output.
+    #[allow(clippy::too_many_arguments)] // internal; bundling hurts call sites
+    fn run_in(
+        kernel: &mut Kernel,
+        pid: zr_kernel::Pid,
+        strategy: &dyn RootEmulation,
+        stage: &Stage,
+        opts: &BuildOptions,
+        instruction: &Instruction,
+        n: u32,
+        args: &[(String, String)],
+        log: &mut Vec<String>,
+        modified: &mut u32,
+    ) -> Result<(), BuildError> {
         // ch-image's --force=fakeroot config step: if the image has no
         // fakeroot but its distro repo ships one, install it first.
         let mut fakeroot_present = has_fakeroot(kernel, stage);
@@ -724,7 +763,6 @@ impl Builder {
 
         let status = kernel.exec_in(pid, &path, argv, run_env);
         log.extend(kernel.take_console());
-        strategy.teardown(kernel);
 
         match status {
             Ok(0) => Ok(()),

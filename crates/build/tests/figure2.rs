@@ -7,6 +7,8 @@
 use zeroroot_core::Mode;
 use zr_build::{BuildError, BuildOptions, Builder};
 use zr_kernel::Kernel;
+use zr_syscalls::Sysno;
+use zr_trace::Disposition;
 use zr_vfs::access::Access;
 use zr_vfs::fs::FollowMode;
 
@@ -189,14 +191,76 @@ fn warm_rebuild_of_figure_2_executes_nothing() {
 }
 
 #[test]
-fn filters_accumulate_per_run_instruction() {
-    // §4: filters are irremovable; each armed RUN pushes another one.
+fn each_run_process_carries_exactly_one_filter() {
+    // ch-image runs every RUN through its own `ch-run --seccomp`: the
+    // filter lives on that RUN's process, never on the container init.
     let mut kernel = Kernel::default_kernel();
     let mut builder = Builder::new();
     let df = "FROM centos:7\nRUN true\nRUN true\nRUN true\n";
     let result = builder.build(&mut kernel, df, &BuildOptions::new("t", Mode::Seccomp));
     assert!(result.success, "{}", result.log_text());
-    // The container init carries one filter per RUN preparation.
-    let pid = 3; // first pid after init (1) and the host user (2)
-    assert_eq!(kernel.process(pid).seccomp.len(), 3);
+    let init = 3; // first pid after init (1) and the host user (2)
+    assert!(
+        kernel.process(init).seccomp.is_empty(),
+        "the init is never armed"
+    );
+    // Each RUN still installed its filter and self-tested it (§5).
+    let selftests = kernel.trace.filtered(|r| r.sysno == Sysno::KexecLoad);
+    assert_eq!(selftests.len(), 3);
+    assert!(selftests
+        .iter()
+        .all(|r| r.disposition == Disposition::FakedByFilter));
+
+    // One filter per process: at most one evaluation per syscall. With
+    // the filters stacked on the init this ratio grew with every RUN.
+    let mut kernel = Kernel::default_kernel();
+    let df = format!("FROM centos:7\n{}", "RUN true\n".repeat(12));
+    let result = Builder::new().build(&mut kernel, &df, &BuildOptions::new("t", Mode::Seccomp));
+    assert!(result.success, "{}", result.log_text());
+    let c = kernel.counters;
+    assert!(c.filter_evaluations > 0);
+    assert!(
+        c.filter_evaluations <= c.syscalls,
+        "{} evaluations for {} syscalls",
+        c.filter_evaluations,
+        c.syscalls
+    );
+}
+
+#[test]
+fn strategy_state_stays_with_each_run_process() {
+    // Tracer and preload state are per RUN too: after two armed RUNs
+    // the container init is exactly as unarmed as it started.
+    for mode in [Mode::Proot, Mode::Fakeroot] {
+        let mut kernel = Kernel::default_kernel();
+        let df = "FROM centos:7\nRUN true\nRUN yum install -y openssh\n";
+        let result = Builder::new().build(&mut kernel, df, &BuildOptions::new("t", mode));
+        assert!(result.success, "{mode:?}: {}", result.log_text());
+        assert!(kernel.counters.spawns > 2, "{mode:?}: the RUNs executed");
+        let init = kernel.process(3);
+        assert!(!init.traced, "{mode:?}: tracer leaked onto the init");
+        assert!(
+            !init.preload_active,
+            "{mode:?}: preload leaked onto the init"
+        );
+        assert!(init.seccomp.is_empty(), "{mode:?}");
+    }
+}
+
+#[test]
+fn faked_fchownat_renders_as_before() {
+    // The trace keeps raw fields; `dump()` must still print exactly what
+    // the `format!`ed note used to.
+    let (result, kernel) = build(Mode::Seccomp);
+    assert!(result.success, "{}", result.log_text());
+    let dump = kernel.trace.dump();
+    for line in [
+        "fchownat(path=/etc/ssh uid=Some(0) gid=Some(0)) = FakedByFilter",
+        "fchownat(path=/usr/libexec/openssh/ssh-keysign uid=Some(0) gid=Some(998)) = FakedByFilter",
+    ] {
+        assert!(
+            dump.lines().any(|l| l.ends_with(&format!("] {line}"))),
+            "no dump line ends with {line}"
+        );
+    }
 }

@@ -6,14 +6,39 @@
 //! need, so observing its fake success proves the filter is live.
 
 use crate::strategy::{PrepareEnv, PrepareError, RootEmulation};
+use std::sync::OnceLock;
+use zr_bpf::Program;
 use zr_kernel::{Kernel, Pid, SysExt};
 use zr_seccomp::spec::{self, FilterSpec};
 use zr_syscalls::Arch;
 
+/// A filter spec and its program. Each variant's spec is fixed, so it
+/// is built and compiled once per process, and every RUN installs a
+/// clone (the kernel still validates each install).
+#[derive(Debug)]
+struct Filter {
+    spec: FilterSpec,
+    /// `None` if the spec failed to compile (`prepare` reports it).
+    program: Option<Program>,
+}
+
+impl Filter {
+    fn cached(cell: &'static OnceLock<Filter>, spec: fn() -> FilterSpec) -> &'static Filter {
+        cell.get_or_init(|| {
+            let spec = spec();
+            let program = zr_seccomp::compile(&spec).ok();
+            Filter { spec, program }
+        })
+    }
+}
+
+static PAPER: OnceLock<Filter> = OnceLock::new();
+static XATTR: OnceLock<Filter> = OnceLock::new();
+
 /// The seccomp strategy, in its paper form or a §6 future-work variant.
 #[derive(Debug, Clone)]
 pub struct SeccompEmulation {
-    spec: FilterSpec,
+    filter: &'static Filter,
     id_consistency: bool,
     name: &'static str,
     flag: &'static str,
@@ -23,7 +48,7 @@ impl SeccompEmulation {
     /// §5 as published: 29 syscalls, all six architectures, ERRNO(0).
     pub fn paper() -> SeccompEmulation {
         SeccompEmulation {
-            spec: spec::zero_consistency(&Arch::ALL),
+            filter: Filter::cached(&PAPER, || spec::zero_consistency(&Arch::ALL)),
             id_consistency: false,
             name: "seccomp",
             flag: "seccomp",
@@ -34,7 +59,7 @@ impl SeccompEmulation {
     /// packages install.
     pub fn with_xattr() -> SeccompEmulation {
         SeccompEmulation {
-            spec: spec::zero_consistency_with_xattr(&Arch::ALL),
+            filter: Filter::cached(&XATTR, || spec::zero_consistency_with_xattr(&Arch::ALL)),
             id_consistency: false,
             name: "seccomp+xattr",
             flag: "seccomp+xattr",
@@ -46,7 +71,7 @@ impl SeccompEmulation {
     /// command-line workaround.
     pub fn with_id_consistency() -> SeccompEmulation {
         SeccompEmulation {
-            spec: spec::zero_consistency(&Arch::ALL),
+            filter: Filter::cached(&PAPER, || spec::zero_consistency(&Arch::ALL)),
             id_consistency: true,
             name: "seccomp+ids",
             flag: "seccomp+ids",
@@ -55,7 +80,7 @@ impl SeccompEmulation {
 
     /// The filter spec in use (benches compile it at various widths).
     pub fn spec(&self) -> &FilterSpec {
-        &self.spec
+        &self.filter.spec
     }
 }
 
@@ -73,7 +98,11 @@ impl RootEmulation for SeccompEmulation {
     }
 
     fn prepare(&self, k: &mut Kernel, pid: Pid, _env: &PrepareEnv) -> Result<(), PrepareError> {
-        let prog = zr_seccomp::compile(&self.spec).map_err(|_| PrepareError::SelfTestFailed)?;
+        let prog = self
+            .filter
+            .program
+            .clone()
+            .ok_or(PrepareError::SelfTestFailed)?;
         let mut ctx = k.ctx(pid);
         ctx.set_no_new_privs()
             .map_err(|_| PrepareError::Sys(zr_syscalls::Errno::EACCES))?;
@@ -91,7 +120,8 @@ impl RootEmulation for SeccompEmulation {
     fn teardown(&self, _k: &mut Kernel) {
         // Nothing to tear down: the filter is part of the process and
         // cannot be removed (§4) — precisely the paper's "emulation is
-        // complete once the filter is installed".
+        // complete once the filter is installed". It ends with the RUN's
+        // own process, which the builder reaps after the command exits.
     }
 
     fn consistent(&self) -> bool {
@@ -138,6 +168,29 @@ mod tests {
         assert_eq!(k.process(pid).seccomp.len(), 1);
         // The self-test shows up in the trace as a faked kexec_load.
         assert_eq!(k.trace.count(zr_syscalls::Sysno::KexecLoad), 1);
+    }
+
+    #[test]
+    fn each_variant_compiles_once_and_installs_that_program() {
+        let paper = SeccompEmulation::paper();
+        assert!(
+            std::ptr::eq(paper.filter, SeccompEmulation::with_id_consistency().filter),
+            "same spec, one compiled program"
+        );
+        assert!(!std::ptr::eq(
+            paper.filter,
+            SeccompEmulation::with_xattr().filter
+        ));
+        let fresh = zr_seccomp::compile(paper.spec()).unwrap();
+        let mut k = Kernel::default_kernel();
+        for _ in 0..2 {
+            let pid = container(&mut k);
+            paper.prepare(&mut k, pid, &PrepareEnv::default()).unwrap();
+            assert_eq!(
+                k.process(pid).seccomp.filters(),
+                std::slice::from_ref(&fresh)
+            );
+        }
     }
 
     #[test]

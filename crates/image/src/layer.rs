@@ -149,11 +149,11 @@ fn layer_overhead(layer: &Layer) -> u64 {
 /// entry per inode (hard links count once). Forces each blob's
 /// memoized SHA-256; for a snapshot chain this hashes only blobs no
 /// earlier layer has been charged for.
-fn blob_inventory(layer: &Layer) -> Vec<(String, u64)> {
+fn blob_inventory(layer: &Layer) -> Vec<([u8; 32], u64)> {
     layer
         .fs
         .blobs()
-        .map(|blob| (blob.sha_hex(), blob.len() as u64))
+        .map(|blob| (*blob.sha_bytes(), blob.len() as u64))
         .collect()
 }
 
@@ -170,7 +170,7 @@ struct Entry {
     /// every payload byte) — the dedup savings baseline.
     logical_bytes: u64,
     /// The blobs this layer references, for ledger release on removal.
-    inventory: Vec<(String, u64)>,
+    inventory: Vec<([u8; 32], u64)>,
     /// Logical clock value of the last hit (or the insert) — the LRU
     /// ordering eviction walks.
     last_hit: u64,
@@ -280,7 +280,7 @@ struct StoreInner {
     /// it). Bytes are charged when a blob's first layer arrives and
     /// released when its last layer leaves. Lock ordering: a shard lock
     /// may be held while taking the ledger, never the reverse.
-    ledger: Mutex<HashMap<String, (u64, u64)>>,
+    ledger: Mutex<HashMap<[u8; 32], (u64, u64)>>,
     /// Logical LRU clock (bumped on every hit and insert).
     clock: AtomicU64,
     /// Size budget in bytes; 0 means unlimited.
@@ -399,7 +399,7 @@ impl LayerStore {
         let mut ledger = lock_or_poisoned(&self.inner.ledger);
         let mut new_bytes = entry.overhead;
         for (sha, len) in &entry.inventory {
-            let slot = ledger.entry(sha.clone()).or_insert((*len, 0));
+            let slot = ledger.entry(*sha).or_insert((*len, 0));
             if slot.1 == 0 {
                 new_bytes += *len;
             }

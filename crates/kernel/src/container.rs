@@ -59,7 +59,9 @@ pub struct ContainerConfig {
 /// A running container: the namespace, filesystem, and its init process.
 #[derive(Debug, Clone, Copy)]
 pub struct Container {
-    /// Pid of the container's init (the process RUN instructions exec in).
+    /// Pid of the container's init: it holds the cwd and credentials
+    /// that persist across instructions; each RUN forks its own process
+    /// from it.
     pub init_pid: Pid,
     /// The container's user namespace (0 for Type I).
     pub userns: usize,
@@ -185,8 +187,10 @@ impl Kernel {
         }
     }
 
-    /// Run a registered program inside an existing process (exec
-    /// semantics: same pid, new program image). Returns the exit status.
+    /// Run a registered program *from* an existing process: it spawns a
+    /// child of `pid` (fork + exec, inheriting `pid`'s filters, hooks and
+    /// cwd), runs the program there, reaps it and returns its exit
+    /// status. `pid` itself keeps running its own image.
     pub fn exec_in(
         &mut self,
         pid: Pid,
@@ -194,9 +198,8 @@ impl Kernel {
         argv: Vec<String>,
         env: Vec<(String, String)>,
     ) -> Result<i32, Errno> {
-        // Delegate to the spawn machinery from the target process itself;
-        // fork+exec of `path` from `pid` is observably equivalent for our
-        // purposes and reuses the permission checks.
+        // The spawn machinery, entered as a syscall of `pid`, so the
+        // exec permission checks and `pid`'s filters apply to it.
         match self.syscall(
             pid,
             crate::sys::SysCall::Spawn {

@@ -25,7 +25,7 @@ use crate::sys::{Sys, SysCall, SysError, SysResult, SysRet};
 use zr_seccomp::{Action, SeccompData};
 use zr_syscalls::caps::Cap;
 use zr_syscalls::{mode, Arch, Errno, Sysno};
-use zr_trace::{Disposition, Record, Tracer};
+use zr_trace::{Disposition, Note, Record, Tracer};
 use zr_vfs::access::{permitted, Access, Want};
 use zr_vfs::fs::{FollowMode, Fs};
 use zr_vfs::inode::FileKind;
@@ -208,6 +208,27 @@ impl Kernel {
         pid
     }
 
+    /// fork(2): a child of `parent` inheriting everything a fork copies
+    /// (credentials, cwd, umask, seccomp stack, no_new_privs, preload and
+    /// tracer state) plus the parent's id-consistency opt-in. Pair with
+    /// [`reap`](Self::reap) once the child is done.
+    pub fn fork(&mut self, parent: Pid) -> Pid {
+        let child = self.process(parent).fork_from(0);
+        let pid = self.add_process(child);
+        if self.id_consistency.get(&parent).copied().unwrap_or(false) {
+            self.id_consistency.insert(pid, true);
+        }
+        pid
+    }
+
+    /// Remove an exited process and everything the kernel keeps per
+    /// pid (its shadow identity and id-consistency opt-in).
+    pub fn reap(&mut self, pid: Pid) {
+        self.shadow.remove(&pid);
+        self.id_consistency.remove(&pid);
+        self.processes.remove(&pid);
+    }
+
     /// Borrow a process.
     pub fn process(&self, pid: Pid) -> &Process {
         self.processes.get(&pid).expect("live pid")
@@ -280,7 +301,15 @@ impl Kernel {
             self.preload_hook = Some(hook);
             if let HookVerdict::Emulated(result) = verdict {
                 self.counters.preload_hops += 1;
-                self.record(pid, &call, Disposition::Emulated, 0);
+                let (sysno, args) = encode(self.process(pid).arch, &call);
+                self.trace.record(Record {
+                    pid,
+                    sysno,
+                    args,
+                    disposition: Disposition::Emulated,
+                    filter_steps: 0,
+                    note: note_for(&call),
+                });
                 return result;
             }
         }
@@ -320,24 +349,37 @@ impl Kernel {
         };
         self.counters.filter_evaluations += stack_len;
         self.counters.bpf_instructions += steps;
+        // Every exit records exactly one of these. The note is taken
+        // from `&call` here, so the call later moves into execution
+        // without a copy.
+        let note = note_for(&call);
+        let record = move |disposition| Record {
+            pid,
+            sysno,
+            args,
+            disposition,
+            filter_steps: steps,
+            note,
+        };
 
         match action {
             Action::Allow | Action::Log => {}
             Action::Errno(0) => {
                 self.counters.faked += 1;
                 self.on_faked(pid, &call);
-                self.record_sys(pid, sysno, &call, Disposition::FakedByFilter, steps);
+                self.trace.record(record(Disposition::FakedByFilter));
                 return Ok(fake_success_ret(&call));
             }
             Action::Errno(e) => {
                 self.counters.denied += 1;
                 let errno = errno_from_raw(e);
-                self.record_sys(pid, sysno, &call, Disposition::DeniedByFilter(errno), steps);
+                self.trace
+                    .record(record(Disposition::DeniedByFilter(errno)));
                 return Err(errno.into());
             }
             Action::KillProcess | Action::KillThread | Action::Trap(_) => {
                 self.process_mut(pid).alive = false;
-                self.record_sys(pid, sysno, &call, Disposition::KilledByFilter, steps);
+                self.trace.record(record(Disposition::KilledByFilter));
                 return Err(SysError::Killed);
             }
             Action::Trace(_) | Action::UserNotif => {
@@ -345,7 +387,8 @@ impl Kernel {
                 // tracer hook below; reaching here without one installed
                 // behaves like ENOSYS (kernel with no tracer attached).
                 if self.tracer_hook.is_none() {
-                    self.record_sys(pid, sysno, &call, Disposition::Failed(Errno::ENOSYS), steps);
+                    self.trace
+                        .record(record(Disposition::Failed(Errno::ENOSYS)));
                     return Err(Errno::ENOSYS.into());
                 }
             }
@@ -357,37 +400,20 @@ impl Kernel {
             let verdict = hook.on_syscall(self, pid, &call);
             self.tracer_hook = Some(hook);
             if let HookVerdict::Emulated(result) = verdict {
-                self.record_sys(pid, sysno, &call, Disposition::Emulated, steps);
+                self.trace.record(record(Disposition::Emulated));
                 return result;
             }
         }
 
         // 5. Execute.
-        let result = self.execute(pid, call.clone());
+        let result = self.execute(pid, call);
         let disp = match &result {
             Ok(_) => Disposition::Executed,
             Err(SysError::Errno(e)) => Disposition::Failed(*e),
             Err(SysError::Killed) => Disposition::KilledByFilter,
         };
-        self.record_sys(pid, sysno, &call, disp, steps);
+        self.trace.record(record(disp));
         result
-    }
-
-    fn record(&self, pid: Pid, call: &SysCall, disp: Disposition, steps: u64) {
-        let (sysno, _) = encode(self.process(pid).arch, call);
-        self.record_sys(pid, sysno, call, disp, steps);
-    }
-
-    fn record_sys(&self, pid: Pid, sysno: Sysno, call: &SysCall, disp: Disposition, steps: u64) {
-        let (_, args) = encode(self.process(pid).arch, call);
-        self.trace.record(Record {
-            pid,
-            sysno,
-            args,
-            disposition: disp,
-            filter_steps: steps,
-            note: note_for(call),
-        });
     }
 
     /// Track faked set*id calls for the id-consistency extension.
@@ -1196,14 +1222,11 @@ impl Kernel {
             return Err(Errno::ENOEXEC.into());
         };
 
-        let mut child = self.process(parent).fork_from(0);
+        let child_pid = self.fork(parent);
+        let child = self.process_mut(child_pid);
         child.dynamic = entry.linkage == Linkage::Dynamic;
         if env.iter().any(|(k, _)| k == "LD_PRELOAD") {
             child.preload_active = true;
-        }
-        let child_pid = self.add_process(child);
-        if self.id_consistency.get(&parent).copied().unwrap_or(false) {
-            self.id_consistency.insert(child_pid, true);
         }
 
         let mut program = (entry.factory)();
@@ -1223,9 +1246,7 @@ impl Kernel {
         self.console.extend(exec_env.output);
 
         let killed = !self.process(child_pid).alive;
-        self.shadow.remove(&child_pid);
-        self.id_consistency.remove(&child_pid);
-        self.processes.remove(&child_pid);
+        self.reap(child_pid);
 
         // SIGSYS/KILL by filter shows as 128+31 like a shell would report.
         Ok(SysRet::Exit(if killed { 159 } else { code }))
@@ -1491,19 +1512,24 @@ fn errno_from_raw(raw: u16) -> Errno {
     }
 }
 
-fn note_for(call: &SysCall) -> String {
+/// The trace note for a call: the fields `dump()` shows, kept raw so
+/// recording a call formats nothing (rare calls carry preformatted text).
+fn note_for(call: &SysCall) -> Note {
     match call {
         SysCall::Chown { path, uid, gid, .. }
         | SysCall::Lchown { path, uid, gid, .. }
-        | SysCall::Fchownat { path, uid, gid, .. } => {
-            format!("path={path} uid={uid:?} gid={gid:?}")
-        }
-        SysCall::Mknod { path, mode, .. } | SysCall::Mknodat { path, mode, .. } => {
-            format!("path={path} mode={mode:#o}")
-        }
-        SysCall::Setuid { uid } => format!("uid={uid}"),
-        SysCall::Setresuid { r, e, s } => format!("r={r:?} e={e:?} s={s:?}"),
-        SysCall::Setgroups { groups } => format!("n={}", groups.len()),
+        | SysCall::Fchownat { path, uid, gid, .. } => Note::Owner {
+            path: path.clone(),
+            uid: *uid,
+            gid: *gid,
+        },
+        SysCall::Mknod { path, mode, .. } | SysCall::Mknodat { path, mode, .. } => Note::Mode {
+            path: path.clone(),
+            mode: *mode,
+        },
+        SysCall::Setuid { uid } => Note::Text(format!("uid={uid}")),
+        SysCall::Setresuid { r, e, s } => Note::Text(format!("r={r:?} e={e:?} s={s:?}")),
+        SysCall::Setgroups { groups } => Note::Text(format!("n={}", groups.len())),
         SysCall::ReadFile { path }
         | SysCall::WriteFile { path, .. }
         | SysCall::Mkdir { path, .. }
@@ -1511,9 +1537,9 @@ fn note_for(call: &SysCall) -> String {
         | SysCall::Stat { path }
         | SysCall::Lstat { path }
         | SysCall::Setxattr { path, .. }
-        | SysCall::Chmod { path, .. } => format!("path={path}"),
-        SysCall::Spawn { path, argv, .. } => format!("path={path} argv={argv:?}"),
-        _ => String::new(),
+        | SysCall::Chmod { path, .. } => Note::Path(path.clone()),
+        SysCall::Spawn { path, argv, .. } => Note::Text(format!("path={path} argv={argv:?}")),
+        _ => Note::None,
     }
 }
 
@@ -1532,6 +1558,23 @@ mod tests {
         assert!(k.has_process(Kernel::INIT_PID));
         assert!(k.has_process(Kernel::HOST_USER_PID));
         assert_eq!(k.process(Kernel::HOST_USER_PID).cred.euid, 1000);
+    }
+
+    #[test]
+    fn fork_inherits_and_reap_forgets() {
+        let mut k = kernel();
+        let parent = Kernel::HOST_USER_PID;
+        k.enable_id_consistency(parent);
+        let child = k.fork(parent);
+        assert_eq!(k.process(child).ppid, parent);
+        assert_eq!(k.process(child).cwd, "/home/user");
+        assert_eq!(k.id_consistency.get(&child), Some(&true));
+        k.shadow.insert(child, k.observed_ids(child));
+        k.reap(child);
+        assert!(!k.has_process(child));
+        assert!(!k.shadow.contains_key(&child));
+        assert!(!k.id_consistency.contains_key(&child));
+        assert!(k.has_process(parent), "the parent lives on");
     }
 
     #[test]

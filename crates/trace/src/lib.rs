@@ -43,6 +43,46 @@ impl Disposition {
     }
 }
 
+/// The human part of a recorded call, kept as raw fields so recording
+/// formats nothing; [`Tracer::dump`] renders it through `Display`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Note {
+    /// Nothing worth showing.
+    None,
+    /// `path=<path>`.
+    Path(String),
+    /// `path=<path> uid=<uid:?> gid=<gid:?>` (the chown family).
+    Owner {
+        /// Target path.
+        path: String,
+        /// Requested uid (`None` = unchanged).
+        uid: Option<u32>,
+        /// Requested gid (`None` = unchanged).
+        gid: Option<u32>,
+    },
+    /// `path=<path> mode=<mode:#o>` (mknod).
+    Mode {
+        /// Target path.
+        path: String,
+        /// Requested mode, type bits included.
+        mode: u32,
+    },
+    /// Preformatted text, for rare calls (set*id, spawn).
+    Text(String),
+}
+
+impl std::fmt::Display for Note {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Note::None => Ok(()),
+            Note::Path(path) => write!(f, "path={path}"),
+            Note::Owner { path, uid, gid } => write!(f, "path={path} uid={uid:?} gid={gid:?}"),
+            Note::Mode { path, mode } => write!(f, "path={path} mode={mode:#o}"),
+            Note::Text(text) => f.write_str(text),
+        }
+    }
+}
+
 /// One recorded syscall.
 #[derive(Debug, Clone)]
 pub struct Record {
@@ -56,8 +96,8 @@ pub struct Record {
     pub disposition: Disposition,
     /// BPF instructions the filter stack executed for this call.
     pub filter_steps: u64,
-    /// Optional human note ("path=/etc/passwd uid=0 gid=0").
-    pub note: String,
+    /// Optional human note ("path=/etc/passwd uid=Some(0) gid=Some(0)").
+    pub note: Note,
 }
 
 /// Aggregated statistics over a trace.
@@ -213,7 +253,7 @@ mod tests {
             args: [0; 6],
             disposition: disp,
             filter_steps: 7,
-            note: String::new(),
+            note: Note::None,
         }
     }
 
@@ -281,6 +321,35 @@ mod tests {
         let t = Tracer::new();
         t.record(rec(Sysno::KexecLoad, Disposition::FakedByFilter));
         assert!(t.dump().contains("kexec_load"));
+    }
+
+    #[test]
+    fn notes_render_their_fields() {
+        let t = Tracer::new();
+        let mut r = rec(Sysno::Fchownat, Disposition::FakedByFilter);
+        r.note = Note::Owner {
+            path: "/etc/x".into(),
+            uid: Some(0),
+            gid: None,
+        };
+        t.record(r);
+        let mut r = rec(Sysno::Mknod, Disposition::Executed);
+        r.note = Note::Mode {
+            path: "/dev/null".into(),
+            mode: 0o20666,
+        };
+        t.record(r);
+        let mut r = rec(Sysno::Stat, Disposition::Executed);
+        r.note = Note::Path("/".into());
+        t.record(r);
+        t.record(rec(Sysno::Getpid, Disposition::Executed));
+        assert_eq!(
+            t.dump(),
+            "[pid     2] fchownat(path=/etc/x uid=Some(0) gid=None) = FakedByFilter\n\
+             [pid     2] mknod(path=/dev/null mode=0o20666) = Executed\n\
+             [pid     2] stat(path=/) = Executed\n\
+             [pid     2] getpid() = Executed\n"
+        );
     }
 
     #[test]
