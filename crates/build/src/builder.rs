@@ -1217,6 +1217,18 @@ mod tests {
     }
 
     #[test]
+    fn renaming_the_cwd_carries_the_shell_along() {
+        let df = "FROM alpine:3.19\nRUN mkdir -p /a && cd /a && mv /a /b && touch x && pwd\n";
+        let (r, _) = build(df, Mode::Seccomp);
+        assert!(r.success, "{}", r.log_text());
+        assert!(r.log.iter().any(|line| line == "/b"), "{}", r.log_text());
+        let image = r.image.unwrap();
+        let root = Access::root();
+        assert!(image.fs.stat("/b/x", &root, FollowMode::NoFollow).is_ok());
+        assert!(image.fs.stat("/a", &root, FollowMode::NoFollow).is_err());
+    }
+
+    #[test]
     fn copy_places_context_files() {
         let mut kernel = Kernel::default_kernel();
         let mut builder = Builder::new();

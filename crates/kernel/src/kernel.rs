@@ -13,7 +13,8 @@
 //! 4. **Tracer hook** — ptrace-style emulators (§3.2).
 //! 5. **Execution** — user-namespace-aware policy checks, then `zr-vfs`.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::BTreeMap;
 
 use crate::counters::Counters;
 use crate::cred::Cred;
@@ -29,7 +30,7 @@ use zr_trace::{Disposition, Note, Record, Tracer};
 use zr_vfs::access::{permitted, Access, Want};
 use zr_vfs::fs::{FollowMode, Fs};
 use zr_vfs::inode::FileKind;
-use zr_vfs::path::join;
+use zr_vfs::path::{is_normal, join};
 
 /// Placeholder pointer value used for pointer arguments in `seccomp_data`
 /// (filters cannot dereference them anyway — §4).
@@ -102,7 +103,9 @@ pub struct Kernel {
     pub namespaces: NsTable,
     /// Filesystems (index = [`FsId`]).
     pub filesystems: Vec<FsEntry>,
-    processes: HashMap<Pid, Process>,
+    // Pid-keyed maps are ordered maps: a handful of live pids, looked
+    // up on every syscall, where SipHash would cost more than the tree.
+    processes: BTreeMap<Pid, Process>,
     next_pid: Pid,
     /// Simulated binaries.
     pub registry: ProgramRegistry,
@@ -115,8 +118,8 @@ pub struct Kernel {
     pub console: Vec<String>,
     preload_hook: Option<Box<dyn SyscallHook>>,
     tracer_hook: Option<Box<dyn SyscallHook>>,
-    shadow: HashMap<Pid, ShadowIds>,
-    id_consistency: HashMap<Pid, bool>,
+    shadow: BTreeMap<Pid, ShadowIds>,
+    id_consistency: BTreeMap<Pid, bool>,
     /// `getrandom` stream position (blocks already handed out).
     rng_counter: u64,
 }
@@ -137,7 +140,7 @@ impl Kernel {
                 fs: host_fs,
                 owner_ns: 0,
             }],
-            processes: HashMap::new(),
+            processes: BTreeMap::new(),
             next_pid: 1,
             registry: ProgramRegistry::new(),
             trace: Tracer::new(),
@@ -145,8 +148,8 @@ impl Kernel {
             console: Vec::new(),
             preload_hook: None,
             tracer_hook: None,
-            shadow: HashMap::new(),
-            id_consistency: HashMap::new(),
+            shadow: BTreeMap::new(),
+            id_consistency: BTreeMap::new(),
             rng_counter: 0,
         };
 
@@ -308,7 +311,7 @@ impl Kernel {
                     args,
                     disposition: Disposition::Emulated,
                     filter_steps: 0,
-                    note: note_for(&call),
+                    note: note_for(call),
                 });
                 return result;
             }
@@ -326,40 +329,38 @@ impl Kernel {
     fn syscall_kernel_entry(
         &mut self,
         pid: Pid,
-        call: SysCall,
+        mut call: SysCall,
         tracer_visible: bool,
     ) -> SysResult<SysRet> {
-        if !self.process(pid).alive {
+        let p = self.process(pid);
+        if !p.alive {
             return Err(SysError::Killed);
         }
-        self.counters.syscalls += 1;
+        let traced = p.traced;
 
         // 2+3. Encode for the architecture and run the filter stack.
-        let arch = self.process(pid).arch;
+        let arch = p.arch;
         let (sysno, args) = encode(arch, &call);
-        let (action, steps, stack_len) = {
-            let stack = &self.process(pid).seccomp;
-            if stack.is_empty() {
-                (Action::Allow, 0, 0)
-            } else {
-                let data = SeccompData::new(arch, syscall_nr(arch, sysno), args);
-                let (action, steps) = stack.evaluate(&data);
-                (action, steps, stack.len() as u64)
-            }
+        let (action, steps, stack_len) = if p.seccomp.is_empty() {
+            (Action::Allow, 0, 0)
+        } else {
+            let data = SeccompData::new(arch, syscall_nr(arch, sysno), args);
+            let (action, steps) = p.seccomp.evaluate(&data);
+            (action, steps, p.seccomp.len() as u64)
         };
+        self.counters.syscalls += 1;
         self.counters.filter_evaluations += stack_len;
         self.counters.bpf_instructions += steps;
-        // Every exit records exactly one of these. The note is taken
-        // from `&call` here, so the call later moves into execution
-        // without a copy.
-        let note = note_for(&call);
-        let record = move |disposition| Record {
+        // Every exit records exactly one of these. The note moves out of
+        // the call once nothing else reads it, so recording copies no
+        // path.
+        let record = move |disposition, call| Record {
             pid,
             sysno,
             args,
             disposition,
             filter_steps: steps,
-            note,
+            note: note_for(call),
         };
 
         match action {
@@ -367,19 +368,20 @@ impl Kernel {
             Action::Errno(0) => {
                 self.counters.faked += 1;
                 self.on_faked(pid, &call);
-                self.trace.record(record(Disposition::FakedByFilter));
-                return Ok(fake_success_ret(&call));
+                let ret = fake_success_ret(&call);
+                self.trace.record(record(Disposition::FakedByFilter, call));
+                return Ok(ret);
             }
             Action::Errno(e) => {
                 self.counters.denied += 1;
                 let errno = errno_from_raw(e);
                 self.trace
-                    .record(record(Disposition::DeniedByFilter(errno)));
+                    .record(record(Disposition::DeniedByFilter(errno), call));
                 return Err(errno.into());
             }
             Action::KillProcess | Action::KillThread | Action::Trap(_) => {
                 self.process_mut(pid).alive = false;
-                self.trace.record(record(Disposition::KilledByFilter));
+                self.trace.record(record(Disposition::KilledByFilter, call));
                 return Err(SysError::Killed);
             }
             Action::Trace(_) | Action::UserNotif => {
@@ -388,31 +390,31 @@ impl Kernel {
                 // behaves like ENOSYS (kernel with no tracer attached).
                 if self.tracer_hook.is_none() {
                     self.trace
-                        .record(record(Disposition::Failed(Errno::ENOSYS)));
+                        .record(record(Disposition::Failed(Errno::ENOSYS), call));
                     return Err(Errno::ENOSYS.into());
                 }
             }
         }
 
         // 4. ptrace layer.
-        if tracer_visible && self.process(pid).traced && self.tracer_hook.is_some() {
+        if tracer_visible && traced && self.tracer_hook.is_some() {
             let mut hook = self.tracer_hook.take().expect("checked above");
             let verdict = hook.on_syscall(self, pid, &call);
             self.tracer_hook = Some(hook);
             if let HookVerdict::Emulated(result) = verdict {
-                self.trace.record(record(Disposition::Emulated));
+                self.trace.record(record(Disposition::Emulated, call));
                 return result;
             }
         }
 
         // 5. Execute.
-        let result = self.execute(pid, call);
+        let result = self.execute(pid, &mut call);
         let disp = match &result {
             Ok(_) => Disposition::Executed,
             Err(SysError::Errno(e)) => Disposition::Failed(*e),
             Err(SysError::Killed) => Disposition::KilledByFilter,
         };
-        self.trace.record(record(disp));
+        self.trace.record(record(disp, call));
         result
     }
 
@@ -511,22 +513,49 @@ impl Kernel {
         self.capable(pid, cap, owner)
     }
 
-    /// Distilled DAC view for VFS permission checks.
+    /// Distilled DAC view for VFS permission checks (one process
+    /// lookup; each capability is checked against the superblock's
+    /// owner namespace, as [`capable`](Self::capable) would).
     pub fn access_for(&self, pid: Pid) -> Access {
         let p = self.process(pid);
+        let owner = self.filesystems[p.fs].owner_ns;
+        let cred = &p.cred;
+        let capable = |cap| {
+            self.namespaces
+                .ns_capable(cred.userns, cred.euid, cred.effective.has(cap), owner, cap)
+        };
         Access {
-            fsuid: p.cred.fsuid,
-            fsgid: p.cred.fsgid,
-            groups: p.cred.groups.clone(),
-            cap_dac_override: self.capable_wrt_fs(pid, Cap::DacOverride),
-            cap_dac_read_search: self.capable_wrt_fs(pid, Cap::DacReadSearch),
-            cap_fowner: self.capable_wrt_fs(pid, Cap::Fowner),
+            fsuid: cred.fsuid,
+            fsgid: cred.fsgid,
+            groups: cred.groups.clone(),
+            cap_dac_override: capable(Cap::DacOverride),
+            cap_dac_read_search: capable(Cap::DacReadSearch),
+            cap_fowner: capable(Cap::Fowner),
         }
     }
 
-    fn abs(&self, pid: Pid, path: &str) -> String {
-        let p = self.process(pid);
-        join(&p.cwd, path)
+    /// `path` as the absolute normal path the VFS walks: borrowed when
+    /// it already is one, else joined onto the cwd and normalized.
+    fn abs<'a>(&self, pid: Pid, path: &'a str) -> Cow<'a, str> {
+        if is_normal(path) {
+            Cow::Borrowed(path)
+        } else {
+            Cow::Owned(join(&self.process(pid).cwd, path))
+        }
+    }
+
+    /// After the directory `from` on filesystem `fsid` was renamed to
+    /// `to`, move the cwd of every process on it that sat at or under
+    /// `from` along, as a cwd held by inode would follow on Linux.
+    fn move_cwds(&mut self, fsid: FsId, from: &str, to: &str) {
+        for p in self.processes.values_mut().filter(|p| p.fs == fsid) {
+            match p.cwd.strip_prefix(from) {
+                Some(rest) if rest.is_empty() || rest.starts_with('/') => {
+                    p.cwd = format!("{to}{rest}");
+                }
+                _ => {}
+            }
+        }
     }
 
     /// Builder-side whole-file write of a *shared blob* into `pid`'s
@@ -556,201 +585,11 @@ impl Kernel {
     // execution (policy + vfs)
     // ====================================================================
 
+    /// Run `call`. Payloads the operation consumes are taken out of it;
+    /// the fields its trace note shows stay behind for the record.
     #[allow(clippy::too_many_lines)] // one arm per syscall; splitting hurts
-    fn execute(&mut self, pid: Pid, call: SysCall) -> SysResult<SysRet> {
-        let access = self.access_for(pid);
-        let fsid = self.process(pid).fs;
+    fn execute(&mut self, pid: Pid, call: &mut SysCall) -> SysResult<SysRet> {
         match call {
-            // ---- plain file ops: defer to VFS DAC --------------------------
-            SysCall::ReadFile { path } => {
-                let p = self.abs(pid, &path);
-                Ok(SysRet::Bytes(self.fs(fsid).read_file(&p, &access)?))
-            }
-            SysCall::WriteFile { path, perm, data } => {
-                let p = self.abs(pid, &path);
-                let perm = perm & !self.process(pid).umask;
-                self.fs_mut(fsid).write_file(&p, perm, data, &access)?;
-                Ok(SysRet::Unit)
-            }
-            SysCall::AppendFile { path, data } => {
-                let p = self.abs(pid, &path);
-                self.fs_mut(fsid).append_file(&p, &data, &access)?;
-                Ok(SysRet::Unit)
-            }
-            SysCall::Mkdir { path, perm } => {
-                let p = self.abs(pid, &path);
-                let perm = perm & !self.process(pid).umask;
-                self.fs_mut(fsid).mkdir(&p, perm, &access)?;
-                Ok(SysRet::Unit)
-            }
-            SysCall::Unlink { path } => {
-                let p = self.abs(pid, &path);
-                self.fs_mut(fsid).unlink(&p, &access)?;
-                Ok(SysRet::Unit)
-            }
-            SysCall::Rmdir { path } => {
-                let p = self.abs(pid, &path);
-                self.fs_mut(fsid).rmdir(&p, &access)?;
-                Ok(SysRet::Unit)
-            }
-            SysCall::Rename { old, new } => {
-                let o = self.abs(pid, &old);
-                let n = self.abs(pid, &new);
-                self.fs_mut(fsid).rename(&o, &n, &access)?;
-                Ok(SysRet::Unit)
-            }
-            SysCall::Symlink { target, linkpath } => {
-                let l = self.abs(pid, &linkpath);
-                self.fs_mut(fsid).symlink(&target, &l, &access)?;
-                Ok(SysRet::Unit)
-            }
-            SysCall::Link { existing, newpath } => {
-                let e = self.abs(pid, &existing);
-                let n = self.abs(pid, &newpath);
-                self.fs_mut(fsid).link(&e, &n, &access)?;
-                Ok(SysRet::Unit)
-            }
-            SysCall::Readlink { path } => {
-                let p = self.abs(pid, &path);
-                Ok(SysRet::Text(self.fs(fsid).readlink(&p, &access)?))
-            }
-            SysCall::Stat { path } => {
-                let p = self.abs(pid, &path);
-                let st = self.fs(fsid).stat(&p, &access, FollowMode::Follow)?;
-                Ok(SysRet::Stat(self.map_stat(pid, st)))
-            }
-            SysCall::Lstat { path } => {
-                let p = self.abs(pid, &path);
-                let st = self.fs(fsid).stat(&p, &access, FollowMode::NoFollow)?;
-                Ok(SysRet::Stat(self.map_stat(pid, st)))
-            }
-            SysCall::ReadDir { path } => {
-                let p = self.abs(pid, &path);
-                let entries = self.fs(fsid).read_dir(&p, &access)?;
-                Ok(SysRet::Entries(
-                    entries.into_iter().map(|(n, _)| n).collect(),
-                ))
-            }
-            SysCall::Truncate { path, size } => {
-                let p = self.abs(pid, &path);
-                let ino = self.fs(fsid).resolve(&p, &access, FollowMode::Follow)?;
-                let node = self.fs(fsid).inode(ino)?;
-                if !permitted(
-                    &access,
-                    node.meta.uid,
-                    node.meta.gid,
-                    node.meta.perm,
-                    Want::W,
-                ) {
-                    return Err(Errno::EACCES.into());
-                }
-                self.fs_mut(fsid).truncate(ino, size)?;
-                Ok(SysRet::Unit)
-            }
-            SysCall::Utimens { path, mtime } => {
-                let p = self.abs(pid, &path);
-                let ino = self.fs(fsid).resolve(&p, &access, FollowMode::Follow)?;
-                let node = self.fs(fsid).inode(ino)?;
-                let owner = access.owns(node.meta.uid);
-                let writable = permitted(
-                    &access,
-                    node.meta.uid,
-                    node.meta.gid,
-                    node.meta.perm,
-                    Want::W,
-                );
-                if !owner && !writable {
-                    return Err(Errno::EPERM.into());
-                }
-                self.fs_mut(fsid).set_mtime(ino, mtime)?;
-                Ok(SysRet::Unit)
-            }
-
-            // ---- chmod: owner or CAP_FOWNER ---------------------------------
-            SysCall::Chmod { path, perm } => {
-                let p = self.abs(pid, &path);
-                let ino = self.fs(fsid).resolve(&p, &access, FollowMode::Follow)?;
-                let node = self.fs(fsid).inode(ino)?;
-                if !access.owns(node.meta.uid) {
-                    return Err(Errno::EPERM.into());
-                }
-                self.fs_mut(fsid).set_perm(ino, perm)?;
-                Ok(SysRet::Unit)
-            }
-
-            // ---- chown family: the Figure 1b syscalls ------------------------
-            SysCall::Chown { path, uid, gid } => {
-                self.do_chown(pid, &path, uid, gid, FollowMode::Follow)
-            }
-            SysCall::Lchown { path, uid, gid } => {
-                self.do_chown(pid, &path, uid, gid, FollowMode::NoFollow)
-            }
-            SysCall::Fchownat {
-                path,
-                uid,
-                gid,
-                nofollow,
-            } => {
-                let follow = if nofollow {
-                    FollowMode::NoFollow
-                } else {
-                    FollowMode::Follow
-                };
-                self.do_chown(pid, &path, uid, gid, follow)
-            }
-
-            // ---- mknod: privileged for device nodes ---------------------------
-            SysCall::Mknod { path, mode: m, dev } | SysCall::Mknodat { path, mode: m, dev } => {
-                let p = self.abs(pid, &path);
-                let kind = match mode::file_type(m) {
-                    mode::S_IFCHR => {
-                        if !self.capable_wrt_fs(pid, Cap::Mknod) {
-                            return Err(Errno::EPERM.into());
-                        }
-                        FileKind::CharDev(dev)
-                    }
-                    mode::S_IFBLK => {
-                        if !self.capable_wrt_fs(pid, Cap::Mknod) {
-                            return Err(Errno::EPERM.into());
-                        }
-                        FileKind::BlockDev(dev)
-                    }
-                    mode::S_IFIFO => FileKind::Fifo,
-                    mode::S_IFSOCK => FileKind::Socket,
-                    0 | mode::S_IFREG => FileKind::File(zr_vfs::Blob::empty()),
-                    _ => return Err(Errno::EINVAL.into()),
-                };
-                let perm = (m & 0o7777) & !self.process(pid).umask;
-                self.fs_mut(fsid).mknod(&p, kind, perm, &access)?;
-                Ok(SysRet::Unit)
-            }
-
-            // ---- xattrs --------------------------------------------------------
-            SysCall::Setxattr { path, name, value } => {
-                let p = self.abs(pid, &path);
-                let ino = self.fs(fsid).resolve(&p, &access, FollowMode::Follow)?;
-                self.xattr_set_policy(pid, &access, fsid, ino, &name)?;
-                self.fs_mut(fsid).set_xattr(ino, &name, &value)?;
-                Ok(SysRet::Unit)
-            }
-            SysCall::Getxattr { path, name } => {
-                let p = self.abs(pid, &path);
-                let ino = self.fs(fsid).resolve(&p, &access, FollowMode::Follow)?;
-                Ok(SysRet::Bytes(self.fs(fsid).get_xattr(ino, &name)?))
-            }
-            SysCall::Listxattr { path } => {
-                let p = self.abs(pid, &path);
-                let ino = self.fs(fsid).resolve(&p, &access, FollowMode::Follow)?;
-                Ok(SysRet::Entries(self.fs(fsid).list_xattr(ino)?))
-            }
-            SysCall::Removexattr { path, name } => {
-                let p = self.abs(pid, &path);
-                let ino = self.fs(fsid).resolve(&p, &access, FollowMode::Follow)?;
-                self.xattr_set_policy(pid, &access, fsid, ino, &name)?;
-                self.fs_mut(fsid).remove_xattr(ino, &name)?;
-                Ok(SysRet::Unit)
-            }
-
             // ---- identity queries (never privileged; zero consistency means
             // these tell the truth) ---------------------------------------------
             SysCall::Getuid => Ok(SysRet::Id(self.shadowed_or(
@@ -795,18 +634,18 @@ impl Kernel {
             }
 
             // ---- identity manipulation: filter class 2 when not faked ---------
-            SysCall::Setuid { uid } => self.do_setuid(pid, uid),
-            SysCall::Setgid { gid } => self.do_setgid(pid, gid),
-            SysCall::Setresuid { r, e, s } => self.do_setresuid(pid, r, e, s),
-            SysCall::Setresgid { r, e, s } => self.do_setresgid(pid, r, e, s),
-            SysCall::Setreuid { r, e } => self.do_setresuid(pid, r, e, None),
-            SysCall::Setregid { r, e } => self.do_setresgid(pid, r, e, None),
-            SysCall::Setgroups { groups } => self.do_setgroups(pid, &groups),
+            SysCall::Setuid { uid } => self.do_setuid(pid, *uid),
+            SysCall::Setgid { gid } => self.do_setgid(pid, *gid),
+            SysCall::Setresuid { r, e, s } => self.do_setresuid(pid, *r, *e, *s),
+            SysCall::Setresgid { r, e, s } => self.do_setresgid(pid, *r, *e, *s),
+            SysCall::Setreuid { r, e } => self.do_setresuid(pid, *r, *e, None),
+            SysCall::Setregid { r, e } => self.do_setresgid(pid, *r, *e, None),
+            SysCall::Setgroups { groups } => self.do_setgroups(pid, groups),
             SysCall::Setfsuid { uid } => {
                 let p = self.process(pid);
                 let ns = self.namespaces.get(p.cred.userns);
                 let old = ns.from_kuid(p.cred.fsuid);
-                if let Some(kuid) = ns.make_kuid(uid) {
+                if let Some(kuid) = ns.make_kuid(*uid) {
                     let capable = self.capable(pid, Cap::Setuid, p.cred.userns);
                     let p = self.process_mut(pid);
                     if capable || p.cred.any_uid_is(kuid) || p.cred.fsuid == kuid {
@@ -820,7 +659,7 @@ impl Kernel {
                 let p = self.process(pid);
                 let ns = self.namespaces.get(p.cred.userns);
                 let old = ns.from_kgid(p.cred.fsgid);
-                if let Some(kgid) = ns.make_kgid(gid) {
+                if let Some(kgid) = ns.make_kgid(*gid) {
                     let capable = self.capable(pid, Cap::Setgid, p.cred.userns);
                     let p = self.process_mut(pid);
                     if capable || p.cred.any_gid_is(kgid) || p.cred.fsgid == kgid {
@@ -840,6 +679,7 @@ impl Kernel {
                 effective,
                 permitted,
             } => {
+                let (effective, permitted) = (*effective, *permitted);
                 let p = self.process_mut(pid);
                 // May not grow beyond permitted.
                 if effective.intersect(p.cred.permitted) != effective
@@ -857,18 +697,8 @@ impl Kernel {
             SysCall::Umask { mask } => {
                 let p = self.process_mut(pid);
                 let old = p.umask;
-                p.umask = mask & 0o777;
+                p.umask = *mask & 0o777;
                 Ok(SysRet::Mask(old))
-            }
-            SysCall::Chdir { path } => {
-                let p = self.abs(pid, &path);
-                let ino = self.fs(fsid).resolve(&p, &access, FollowMode::Follow)?;
-                if !self.fs(fsid).inode(ino)?.is_dir() {
-                    return Err(Errno::ENOTDIR.into());
-                }
-                let canonical = self.fs(fsid).path_of(ino)?;
-                self.process_mut(pid).cwd = canonical;
-                Ok(SysRet::Unit)
             }
             SysCall::Getcwd => Ok(SysRet::Text(self.process(pid).cwd.clone())),
             SysCall::SetNoNewPrivs => {
@@ -880,8 +710,9 @@ impl Kernel {
                 if !p.no_new_privs && !self.capable(pid, Cap::SysAdmin, p.cred.userns) {
                     return Err(Errno::EACCES.into());
                 }
-                zr_bpf::validate(&prog).map_err(|_| Errno::EINVAL)?;
-                zr_seccomp::check::check_seccomp(&prog).map_err(|_| Errno::EINVAL)?;
+                zr_bpf::validate(prog).map_err(|_| Errno::EINVAL)?;
+                zr_seccomp::check::check_seccomp(prog).map_err(|_| Errno::EINVAL)?;
+                let prog = std::mem::take(prog);
                 self.process_mut(pid).seccomp.push(prog);
                 Ok(SysRet::Unit)
             }
@@ -894,9 +725,13 @@ impl Kernel {
                     Err(Errno::EPERM.into())
                 }
             }
-            SysCall::Spawn { path, argv, env } => self.do_spawn(pid, &path, argv, env),
+            // argv stays in the call: the trace note shows it.
+            SysCall::Spawn { path, argv, env } => {
+                let (argv, env) = (argv.clone(), std::mem::take(env));
+                self.do_spawn(pid, path, argv, env)
+            }
             SysCall::ConsoleWrite { line } => {
-                self.console.push(line);
+                self.console.push(std::mem::take(line));
                 Ok(SysRet::Unit)
             }
             SysCall::GetRandom { len } => {
@@ -905,8 +740,8 @@ impl Kernel {
                 // with equal configs replay identical bytes; differing
                 // `gen_seed`s force "generated file" payload divergence.
                 let seed = self.config.nondet.gen_seed.unwrap_or(0);
-                let mut out = Vec::with_capacity(len as usize);
-                while (out.len() as u64) < len {
+                let mut out = Vec::with_capacity(*len as usize);
+                while (out.len() as u64) < *len {
                     let mut z = seed
                         .wrapping_add(self.rng_counter.wrapping_mul(0x9e37_79b9_7f4a_7c15))
                         .wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -915,13 +750,266 @@ impl Kernel {
                     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
                     z ^= z >> 31;
                     for b in z.to_le_bytes() {
-                        if (out.len() as u64) < len {
+                        if (out.len() as u64) < *len {
                             out.push(b);
                         }
                     }
                 }
                 Ok(SysRet::Bytes(out))
             }
+            SysCall::ReadFile { .. }
+            | SysCall::WriteFile { .. }
+            | SysCall::AppendFile { .. }
+            | SysCall::Mkdir { .. }
+            | SysCall::Unlink { .. }
+            | SysCall::Rmdir { .. }
+            | SysCall::Rename { .. }
+            | SysCall::Symlink { .. }
+            | SysCall::Link { .. }
+            | SysCall::Readlink { .. }
+            | SysCall::Stat { .. }
+            | SysCall::Lstat { .. }
+            | SysCall::ReadDir { .. }
+            | SysCall::Truncate { .. }
+            | SysCall::Utimens { .. }
+            | SysCall::Chmod { .. }
+            | SysCall::Chown { .. }
+            | SysCall::Lchown { .. }
+            | SysCall::Fchownat { .. }
+            | SysCall::Mknod { .. }
+            | SysCall::Mknodat { .. }
+            | SysCall::Setxattr { .. }
+            | SysCall::Getxattr { .. }
+            | SysCall::Listxattr { .. }
+            | SysCall::Removexattr { .. }
+            | SysCall::Chdir { .. } => self.execute_path(pid, call),
+        }
+    }
+
+    /// The calls that walk a path in the caller's filesystem, under the
+    /// caller's DAC view (computed once, and only for these calls).
+    #[allow(clippy::too_many_lines)] // one arm per syscall; splitting hurts
+    fn execute_path(&mut self, pid: Pid, call: &mut SysCall) -> SysResult<SysRet> {
+        let access = self.access_for(pid);
+        let fsid = self.process(pid).fs;
+        match call {
+            // ---- plain file ops: defer to VFS DAC --------------------------
+            SysCall::ReadFile { path } => {
+                let p = self.abs(pid, path);
+                Ok(SysRet::Bytes(self.fs(fsid).read_file(&p, &access)?))
+            }
+            SysCall::WriteFile { path, perm, data } => {
+                let p = self.abs(pid, path);
+                let perm = *perm & !self.process(pid).umask;
+                let data = std::mem::take(data);
+                self.fs_mut(fsid).write_file(&p, perm, data, &access)?;
+                Ok(SysRet::Unit)
+            }
+            SysCall::AppendFile { path, data } => {
+                let p = self.abs(pid, path);
+                self.fs_mut(fsid).append_file(&p, data, &access)?;
+                Ok(SysRet::Unit)
+            }
+            SysCall::Mkdir { path, perm } => {
+                let p = self.abs(pid, path);
+                let perm = *perm & !self.process(pid).umask;
+                self.fs_mut(fsid).mkdir(&p, perm, &access)?;
+                Ok(SysRet::Unit)
+            }
+            SysCall::Unlink { path } => {
+                let p = self.abs(pid, path);
+                self.fs_mut(fsid).unlink(&p, &access)?;
+                Ok(SysRet::Unit)
+            }
+            SysCall::Rmdir { path } => {
+                let p = self.abs(pid, path);
+                self.fs_mut(fsid).rmdir(&p, &access)?;
+                Ok(SysRet::Unit)
+            }
+            SysCall::Rename { old, new } => {
+                let o = self.abs(pid, old);
+                let n = self.abs(pid, new);
+                // A renamed directory carries every cwd at or under it
+                // along.
+                let fs = self.fs(fsid);
+                let moved_dir = fs
+                    .resolve(&o, &access, FollowMode::NoFollow)
+                    .ok()
+                    .filter(|&ino| fs.inode(ino).is_ok_and(|n| n.is_dir()))
+                    .map(|ino| (ino, fs.path_of(ino)));
+                self.fs_mut(fsid).rename(&o, &n, &access)?;
+                if let Some((ino, Ok(from))) = moved_dir {
+                    let to = self
+                        .fs(fsid)
+                        .path_of(ino)
+                        .expect("a renamed directory stays reachable");
+                    self.move_cwds(fsid, &from, &to);
+                }
+                Ok(SysRet::Unit)
+            }
+            SysCall::Symlink { target, linkpath } => {
+                let l = self.abs(pid, linkpath);
+                self.fs_mut(fsid).symlink(target, &l, &access)?;
+                Ok(SysRet::Unit)
+            }
+            SysCall::Link { existing, newpath } => {
+                let e = self.abs(pid, existing);
+                let n = self.abs(pid, newpath);
+                self.fs_mut(fsid).link(&e, &n, &access)?;
+                Ok(SysRet::Unit)
+            }
+            SysCall::Readlink { path } => {
+                let p = self.abs(pid, path);
+                Ok(SysRet::Text(self.fs(fsid).readlink(&p, &access)?))
+            }
+            SysCall::Stat { path } => {
+                let p = self.abs(pid, path);
+                let st = self.fs(fsid).stat(&p, &access, FollowMode::Follow)?;
+                Ok(SysRet::Stat(self.map_stat(pid, st)))
+            }
+            SysCall::Lstat { path } => {
+                let p = self.abs(pid, path);
+                let st = self.fs(fsid).stat(&p, &access, FollowMode::NoFollow)?;
+                Ok(SysRet::Stat(self.map_stat(pid, st)))
+            }
+            SysCall::ReadDir { path } => {
+                let p = self.abs(pid, path);
+                let entries = self.fs(fsid).read_dir(&p, &access)?;
+                Ok(SysRet::Entries(
+                    entries.into_iter().map(|(n, _)| n).collect(),
+                ))
+            }
+            SysCall::Truncate { path, size } => {
+                let p = self.abs(pid, path);
+                let ino = self.fs(fsid).resolve(&p, &access, FollowMode::Follow)?;
+                let node = self.fs(fsid).inode(ino)?;
+                if !permitted(
+                    &access,
+                    node.meta.uid,
+                    node.meta.gid,
+                    node.meta.perm,
+                    Want::W,
+                ) {
+                    return Err(Errno::EACCES.into());
+                }
+                self.fs_mut(fsid).truncate(ino, *size)?;
+                Ok(SysRet::Unit)
+            }
+            SysCall::Utimens { path, mtime } => {
+                let p = self.abs(pid, path);
+                let ino = self.fs(fsid).resolve(&p, &access, FollowMode::Follow)?;
+                let node = self.fs(fsid).inode(ino)?;
+                let owner = access.owns(node.meta.uid);
+                let writable = permitted(
+                    &access,
+                    node.meta.uid,
+                    node.meta.gid,
+                    node.meta.perm,
+                    Want::W,
+                );
+                if !owner && !writable {
+                    return Err(Errno::EPERM.into());
+                }
+                self.fs_mut(fsid).set_mtime(ino, *mtime)?;
+                Ok(SysRet::Unit)
+            }
+
+            // ---- chmod: owner or CAP_FOWNER ---------------------------------
+            SysCall::Chmod { path, perm } => {
+                let p = self.abs(pid, path);
+                let ino = self.fs(fsid).resolve(&p, &access, FollowMode::Follow)?;
+                let node = self.fs(fsid).inode(ino)?;
+                if !access.owns(node.meta.uid) {
+                    return Err(Errno::EPERM.into());
+                }
+                self.fs_mut(fsid).set_perm(ino, *perm)?;
+                Ok(SysRet::Unit)
+            }
+
+            // ---- chown family: the Figure 1b syscalls ------------------------
+            SysCall::Chown { path, uid, gid } => {
+                self.do_chown(pid, &access, path, *uid, *gid, FollowMode::Follow)
+            }
+            SysCall::Lchown { path, uid, gid } => {
+                self.do_chown(pid, &access, path, *uid, *gid, FollowMode::NoFollow)
+            }
+            SysCall::Fchownat {
+                path,
+                uid,
+                gid,
+                nofollow,
+            } => {
+                let follow = if *nofollow {
+                    FollowMode::NoFollow
+                } else {
+                    FollowMode::Follow
+                };
+                self.do_chown(pid, &access, path, *uid, *gid, follow)
+            }
+
+            // ---- mknod: privileged for device nodes ---------------------------
+            SysCall::Mknod { path, mode: m, dev } | SysCall::Mknodat { path, mode: m, dev } => {
+                let p = self.abs(pid, path);
+                let kind = match mode::file_type(*m) {
+                    mode::S_IFCHR => {
+                        if !self.capable_wrt_fs(pid, Cap::Mknod) {
+                            return Err(Errno::EPERM.into());
+                        }
+                        FileKind::CharDev(*dev)
+                    }
+                    mode::S_IFBLK => {
+                        if !self.capable_wrt_fs(pid, Cap::Mknod) {
+                            return Err(Errno::EPERM.into());
+                        }
+                        FileKind::BlockDev(*dev)
+                    }
+                    mode::S_IFIFO => FileKind::Fifo,
+                    mode::S_IFSOCK => FileKind::Socket,
+                    0 | mode::S_IFREG => FileKind::File(zr_vfs::Blob::empty()),
+                    _ => return Err(Errno::EINVAL.into()),
+                };
+                let perm = (*m & 0o7777) & !self.process(pid).umask;
+                self.fs_mut(fsid).mknod(&p, kind, perm, &access)?;
+                Ok(SysRet::Unit)
+            }
+
+            // ---- xattrs --------------------------------------------------------
+            SysCall::Setxattr { path, name, value } => {
+                let p = self.abs(pid, path);
+                let ino = self.fs(fsid).resolve(&p, &access, FollowMode::Follow)?;
+                self.xattr_set_policy(pid, &access, fsid, ino, name)?;
+                self.fs_mut(fsid).set_xattr(ino, name, value)?;
+                Ok(SysRet::Unit)
+            }
+            SysCall::Getxattr { path, name } => {
+                let p = self.abs(pid, path);
+                let ino = self.fs(fsid).resolve(&p, &access, FollowMode::Follow)?;
+                Ok(SysRet::Bytes(self.fs(fsid).get_xattr(ino, name)?))
+            }
+            SysCall::Listxattr { path } => {
+                let p = self.abs(pid, path);
+                let ino = self.fs(fsid).resolve(&p, &access, FollowMode::Follow)?;
+                Ok(SysRet::Entries(self.fs(fsid).list_xattr(ino)?))
+            }
+            SysCall::Removexattr { path, name } => {
+                let p = self.abs(pid, path);
+                let ino = self.fs(fsid).resolve(&p, &access, FollowMode::Follow)?;
+                self.xattr_set_policy(pid, &access, fsid, ino, name)?;
+                self.fs_mut(fsid).remove_xattr(ino, name)?;
+                Ok(SysRet::Unit)
+            }
+
+            SysCall::Chdir { path } => {
+                let p = self.abs(pid, path);
+                let ino = self.fs(fsid).resolve(&p, &access, FollowMode::Follow)?;
+                if !self.fs(fsid).inode(ino)?.is_dir() {
+                    return Err(Errno::ENOTDIR.into());
+                }
+                let canonical = self.fs(fsid).path_of(ino)?;
+                self.process_mut(pid).cwd = canonical;
+                Ok(SysRet::Unit)
+            }
+            _ => unreachable!("execute routes only path calls here"),
         }
     }
 
@@ -957,15 +1045,15 @@ impl Kernel {
     fn do_chown(
         &mut self,
         pid: Pid,
+        access: &Access,
         path: &str,
         uid: Option<u32>,
         gid: Option<u32>,
         follow: FollowMode,
     ) -> SysResult<SysRet> {
-        let access = self.access_for(pid);
         let fsid = self.process(pid).fs;
         let p = self.abs(pid, path);
-        let ino = self.fs(fsid).resolve(&p, &access, follow)?;
+        let ino = self.fs(fsid).resolve(&p, access, follow)?;
         let node = self.fs(fsid).inode(ino)?;
         let (cur_uid, cur_gid) = (node.meta.uid, node.meta.gid);
 
@@ -1514,19 +1602,15 @@ fn errno_from_raw(raw: u16) -> Errno {
 
 /// The trace note for a call: the fields `dump()` shows, kept raw so
 /// recording a call formats nothing (rare calls carry preformatted text).
-fn note_for(call: &SysCall) -> Note {
+/// Taken once the call has run, so paths move into the note uncopied.
+fn note_for(call: SysCall) -> Note {
     match call {
         SysCall::Chown { path, uid, gid, .. }
         | SysCall::Lchown { path, uid, gid, .. }
-        | SysCall::Fchownat { path, uid, gid, .. } => Note::Owner {
-            path: path.clone(),
-            uid: *uid,
-            gid: *gid,
-        },
-        SysCall::Mknod { path, mode, .. } | SysCall::Mknodat { path, mode, .. } => Note::Mode {
-            path: path.clone(),
-            mode: *mode,
-        },
+        | SysCall::Fchownat { path, uid, gid, .. } => Note::Owner { path, uid, gid },
+        SysCall::Mknod { path, mode, .. } | SysCall::Mknodat { path, mode, .. } => {
+            Note::Mode { path, mode }
+        }
         SysCall::Setuid { uid } => Note::Text(format!("uid={uid}")),
         SysCall::Setresuid { r, e, s } => Note::Text(format!("r={r:?} e={e:?} s={s:?}")),
         SysCall::Setgroups { groups } => Note::Text(format!("n={}", groups.len())),
@@ -1537,7 +1621,7 @@ fn note_for(call: &SysCall) -> Note {
         | SysCall::Stat { path }
         | SysCall::Lstat { path }
         | SysCall::Setxattr { path, .. }
-        | SysCall::Chmod { path, .. } => Note::Path(path.clone()),
+        | SysCall::Chmod { path, .. } => Note::Path(path),
         SysCall::Spawn { path, argv, .. } => Note::Text(format!("path={path} argv={argv:?}")),
         _ => Note::None,
     }
@@ -1803,6 +1887,34 @@ mod tests {
         assert!(ctx.exists("/a/b/rel.txt"));
         ctx.chdir("..").unwrap();
         assert_eq!(ctx.getcwd(), "/a");
+    }
+
+    #[test]
+    fn rename_moves_the_cwds_at_or_under_it() {
+        let mut k = kernel();
+        let init = Kernel::INIT_PID;
+        k.ctx(init).mkdir_p("/a/sub", 0o755).unwrap();
+        k.ctx(init).mkdir_p("/ab", 0o755).unwrap();
+        let (below, beside) = (k.fork(init), k.fork(init));
+        k.ctx(init).chdir("/a").unwrap();
+        k.ctx(below).chdir("/a/sub").unwrap();
+        k.ctx(beside).chdir("/ab").unwrap();
+
+        k.ctx(beside).rename("/a", "/b").unwrap();
+        assert_eq!(k.ctx(init).getcwd(), "/b");
+        assert_eq!(k.ctx(below).getcwd(), "/b/sub");
+        assert_eq!(
+            k.ctx(beside).getcwd(),
+            "/ab",
+            "a shared prefix is not a parent"
+        );
+        k.ctx(init).write_file("x", 0o644, Vec::new()).unwrap();
+        assert!(k.ctx(init).exists("/b/x"));
+
+        // A refused rename, or one of a file, moves no cwd.
+        assert!(k.ctx(init).rename("/b", "/b/sub/c").is_err());
+        k.ctx(init).rename("/b/x", "/b/y").unwrap();
+        assert_eq!(k.ctx(init).getcwd(), "/b");
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::sync::{Arc, Mutex};
 use crate::access::{permitted, Access, Want};
 use crate::blob::Blob;
 use crate::inode::{FileKind, Ino, Inode, Metadata, Stat};
-use crate::path::{components, normalize, split_parent, valid_name};
+use crate::path::{normal, normalize, valid_name};
 use zr_digest::{FieldDigest, Sha256};
 use zr_syscalls::Errno;
 
@@ -79,6 +79,11 @@ pub enum FollowMode {
 }
 
 /// The filesystem.
+///
+/// Paths follow the crate's path contract: each op walks its path once
+/// (a create-or-replace such as [`write_file`](Fs::write_file) too),
+/// borrowing an absolute normal path and normalizing any other path
+/// lexically once.
 ///
 /// The inode arena is split into fixed-size pages, each behind an
 /// `Arc`: `Fs::clone` — the per-instruction build snapshot — clones one
@@ -377,72 +382,84 @@ impl Fs {
 
     /// Resolve `path` to an inode, enforcing search permission on every
     /// traversed directory and chasing symlinks (bounded by
-    /// `MAX_SYMLINKS`).
+    /// `MAX_SYMLINKS`). The path is normalized lexically first, unless
+    /// it already is absolute and normal.
     pub fn resolve(&self, path: &str, access: &Access, follow: FollowMode) -> Result<Ino, Errno> {
-        let mut depth = 0u32;
-        self.resolve_inner(path, access, follow, &mut depth)
+        self.resolve_normal(&normal(path), access, follow, &mut 0)
     }
 
-    fn resolve_inner(
+    /// The one path walk, nameidata-style, over an absolute normal path
+    /// (or `""`, the root): from `/` one component at a time, with no
+    /// copy of the path unless a symlink replaces part of it. `depth`
+    /// counts the symlinks chased so far.
+    fn resolve_normal(
         &self,
         path: &str,
         access: &Access,
         follow: FollowMode,
         depth: &mut u32,
     ) -> Result<Ino, Errno> {
-        let comps: Vec<&str> = components(path).collect();
         let mut cur = self.root();
-        let mut i = 0usize;
-        while i < comps.len() {
-            let comp = comps[i];
-            let node = self.inode(cur)?;
-            let (entries, parent) = match &node.kind {
-                FileKind::Dir { entries, parent } => (entries, *parent),
-                _ => return Err(Errno::ENOTDIR),
-            };
-            if !permitted(
-                access,
-                node.meta.uid,
-                node.meta.gid,
-                node.meta.perm,
-                Want::X,
-            ) {
-                return Err(Errno::EACCES);
-            }
-            if comp == ".." {
-                cur = parent;
-                i += 1;
-                continue;
-            }
-            let &child = entries.get(comp).ok_or(Errno::ENOENT)?;
-            let child_node = self.inode(child)?;
-            let last = i + 1 == comps.len();
-            if let FileKind::Symlink(target) = &child_node.kind {
-                if !last || follow == FollowMode::Follow {
-                    *depth += 1;
-                    if *depth > MAX_SYMLINKS {
-                        return Err(Errno::ELOOP);
-                    }
-                    // Re-resolve: target replaces this component; the rest
-                    // of the path is appended.
-                    let mut rebuilt = if target.starts_with('/') {
-                        target.clone()
-                    } else {
-                        // Relative to the symlink's directory (`cur`).
-                        let dir = self.path_of(cur)?;
-                        format!("{dir}/{target}")
-                    };
-                    for rest in &comps[i + 1..] {
-                        rebuilt.push('/');
-                        rebuilt.push_str(rest);
-                    }
-                    return self.resolve_inner(&normalize(&rebuilt), access, follow, depth);
+        let mut rest = path;
+        while let Some((name, tail)) = next_component(rest) {
+            match self.step(cur, name, access)? {
+                (_, Some(target)) if !tail.is_empty() || follow == FollowMode::Follow => {
+                    return self.follow_link(cur, target, tail, access, follow, depth);
                 }
+                (child, _) => cur = child,
             }
-            cur = child;
-            i += 1;
+            rest = tail;
         }
         Ok(cur)
+    }
+
+    /// One step of a walk: search directory `dir` for `name`. Returns
+    /// the entry and, when it is a symlink, the link's target.
+    fn step(&self, dir: Ino, name: &str, access: &Access) -> Result<(Ino, Option<&str>), Errno> {
+        let node = self.inode(dir)?;
+        let FileKind::Dir { entries, .. } = &node.kind else {
+            return Err(Errno::ENOTDIR);
+        };
+        if !permitted(
+            access,
+            node.meta.uid,
+            node.meta.gid,
+            node.meta.perm,
+            Want::X,
+        ) {
+            return Err(Errno::EACCES);
+        }
+        let &child = entries.get(name).ok_or(Errno::ENOENT)?;
+        match &self.inode(child)?.kind {
+            FileKind::Symlink(target) => Ok((child, Some(target))),
+            _ => Ok((child, None)),
+        }
+    }
+
+    /// Continue a walk through a symlink found in `dir`: its target
+    /// replaces the link's component, `tail` (the rest of the path, `""`
+    /// or `/…`) is appended, and the result is walked from `/`. A
+    /// relative target is taken from the link's directory.
+    fn follow_link(
+        &self,
+        dir: Ino,
+        target: &str,
+        tail: &str,
+        access: &Access,
+        follow: FollowMode,
+        depth: &mut u32,
+    ) -> Result<Ino, Errno> {
+        *depth += 1;
+        if *depth > MAX_SYMLINKS {
+            return Err(Errno::ELOOP);
+        }
+        let mut rebuilt = if target.starts_with('/') {
+            target.to_string()
+        } else {
+            format!("{}/{target}", self.path_of(dir)?)
+        };
+        rebuilt.push_str(tail);
+        self.resolve_normal(&normalize(&rebuilt), access, follow, depth)
     }
 
     /// Reconstruct the absolute path of a directory inode (used for
@@ -476,19 +493,18 @@ impl Fs {
         Ok(format!("/{}", parts.join("/")))
     }
 
-    /// Resolve the parent directory of `path` (following intermediate
-    /// symlinks) and return it with the validated final component.
-    fn walk_parent(&self, path: &str, access: &Access) -> Result<(Ino, String), Errno> {
-        let norm = normalize(path);
-        let (parent, name) = split_parent(&norm).ok_or(Errno::EEXIST)?; // root: EEXIST for create-like ops
+    /// Walk to the directory that holds the last component of `path`
+    /// (absolute and normal), following symlinks on the way, and look
+    /// that component up there. The root has no parent: `EEXIST`, as
+    /// create-like ops report it.
+    fn walk_parent<'p>(&self, path: &'p str, access: &Access) -> Result<Parent<'p>, Errno> {
+        let (dirs, name) = split_last(path).ok_or(Errno::EEXIST)?;
         if !valid_name(name) {
             return Err(Errno::EINVAL);
         }
-        let dir = self.resolve(&parent, access, FollowMode::Follow)?;
-        if !self.inode(dir)?.is_dir() {
-            return Err(Errno::ENOTDIR);
-        }
-        Ok((dir, name.to_string()))
+        let dir = self.resolve_normal(dirs, access, FollowMode::Follow, &mut 0)?;
+        let child = self.dir_entries(dir)?.get(name).copied();
+        Ok(Parent { dir, name, child })
     }
 
     fn check_write_dir(&self, dir: Ino, access: &Access) -> Result<(), Errno> {
@@ -501,25 +517,37 @@ impl Fs {
 
     // ---- creation -----------------------------------------------------------
 
-    /// `mkdir(2)`.
-    pub fn mkdir(&mut self, path: &str, perm: u32, access: &Access) -> Result<Ino, Errno> {
-        let (dir, name) = self.walk_parent(path, access)?;
-        self.check_write_dir(dir, access)?;
-        if self.dir_entries(dir)?.contains_key(&name) {
+    /// The tail of every create-like op: with write permission on the
+    /// directory a walk ended in, link a new `kind` inode under the
+    /// walked name, unless that name exists.
+    fn create_at(
+        &mut self,
+        at: &Parent<'_>,
+        kind: FileKind,
+        perm: u32,
+        access: &Access,
+    ) -> Result<Ino, Errno> {
+        self.check_write_dir(at.dir, access)?;
+        if at.child.is_some() {
             return Err(Errno::EEXIST);
         }
         let now = self.tick();
         let (uid, gid) = self.create_ids(access);
-        let meta = Metadata::new(uid, gid, perm, now);
-        let ino = self.alloc(
-            FileKind::Dir {
-                entries: Arc::new(BTreeMap::new()),
-                parent: dir,
-            },
-            meta,
-        );
-        self.dir_entries_mut(dir)?.insert(name, ino);
+        let ino = self.alloc(kind, Metadata::new(uid, gid, perm, now));
+        self.dir_entries_mut(at.dir)?
+            .insert(at.name.to_string(), ino);
         Ok(ino)
+    }
+
+    /// `mkdir(2)`.
+    pub fn mkdir(&mut self, path: &str, perm: u32, access: &Access) -> Result<Ino, Errno> {
+        let path = normal(path);
+        let at = self.walk_parent(&path, access)?;
+        let kind = FileKind::Dir {
+            entries: Arc::new(BTreeMap::new()),
+            parent: at.dir,
+        };
+        self.create_at(&at, kind, perm, access)
     }
 
     /// Create a regular file (`open(O_CREAT|O_EXCL)` path). Fails if the
@@ -544,17 +572,9 @@ impl Fs {
         blob: Arc<Blob>,
         access: &Access,
     ) -> Result<Ino, Errno> {
-        let (dir, name) = self.walk_parent(path, access)?;
-        self.check_write_dir(dir, access)?;
-        if self.dir_entries(dir)?.contains_key(&name) {
-            return Err(Errno::EEXIST);
-        }
-        let now = self.tick();
-        let (uid, gid) = self.create_ids(access);
-        let meta = Metadata::new(uid, gid, perm, now);
-        let ino = self.alloc(FileKind::File(blob), meta);
-        self.dir_entries_mut(dir)?.insert(name, ino);
-        Ok(ino)
+        let path = normal(path);
+        let at = self.walk_parent(&path, access)?;
+        self.create_at(&at, FileKind::File(blob), perm, access)
     }
 
     /// `open(O_CREAT|O_TRUNC)`-style write of a whole file: create or
@@ -574,6 +594,10 @@ impl Fs {
     /// what COPY/ADD use so a context file's bytes (and digest memo)
     /// are shared between the build context and every snapshot, never
     /// duplicated.
+    ///
+    /// One walk: to the parent directory, then the last component is
+    /// looked up (and a trailing symlink chased) as `resolve` would; a
+    /// missing name is created in the directory the walk already holds.
     pub fn write_file_blob(
         &mut self,
         path: &str,
@@ -581,39 +605,77 @@ impl Fs {
         blob: Arc<Blob>,
         access: &Access,
     ) -> Result<Ino, Errno> {
-        match self.resolve(path, access, FollowMode::Follow) {
-            Ok(ino) => {
-                let node = self.inode(ino)?;
-                if node.is_dir() {
-                    return Err(Errno::EISDIR);
+        let path = normal(path);
+        let Some((dirs, name)) = split_last(&path) else {
+            return Err(Errno::EISDIR); // the root
+        };
+        let mut depth = 0;
+        let dir = match self.resolve_normal(dirs, access, FollowMode::Follow, &mut depth) {
+            Err(Errno::ENOENT) if !valid_name(name) => return Err(Errno::EINVAL),
+            walked => walked?,
+        };
+        // The name's entry, if it exists, and the file it leads to.
+        let (entry, found) = match self.step(dir, name, access) {
+            Ok((link, Some(target))) => (
+                Some(link),
+                self.follow_link(dir, target, "", access, FollowMode::Follow, &mut depth),
+            ),
+            Ok((ino, None)) => (Some(ino), Ok(ino)),
+            Err(e) => (None, Err(e)),
+        };
+        match found {
+            Ok(ino) => self.overwrite(ino, blob, access),
+            // A missing name — or a dangling symlink, which `create_at`
+            // then refuses as existing.
+            Err(Errno::ENOENT) => {
+                if !valid_name(name) {
+                    return Err(Errno::EINVAL);
                 }
-                if !permitted(
-                    access,
-                    node.meta.uid,
-                    node.meta.gid,
-                    node.meta.perm,
-                    Want::W,
-                ) {
-                    return Err(Errno::EACCES);
-                }
-                let now = self.tick();
-                let node = self.inode_mut(ino)?;
-                match &mut node.kind {
-                    FileKind::File(existing) => *existing = blob,
-                    _ => return Err(Errno::EINVAL),
-                }
-                node.meta.mtime = now;
-                Ok(ino)
+                let at = Parent {
+                    dir,
+                    name,
+                    child: entry,
+                };
+                self.create_at(&at, FileKind::File(blob), perm, access)
             }
-            Err(Errno::ENOENT) => self.create_file_blob(path, perm, blob, access),
             Err(e) => Err(e),
         }
+    }
+
+    /// Replace the contents of the existing file `ino` with `blob`.
+    fn overwrite(&mut self, ino: Ino, blob: Arc<Blob>, access: &Access) -> Result<Ino, Errno> {
+        let node = self.inode(ino)?;
+        if node.is_dir() {
+            return Err(Errno::EISDIR);
+        }
+        if !permitted(
+            access,
+            node.meta.uid,
+            node.meta.gid,
+            node.meta.perm,
+            Want::W,
+        ) {
+            return Err(Errno::EACCES);
+        }
+        let now = self.tick();
+        let node = self.inode_mut(ino)?;
+        match &mut node.kind {
+            FileKind::File(existing) => *existing = blob,
+            _ => return Err(Errno::EINVAL),
+        }
+        node.meta.mtime = now;
+        Ok(ino)
     }
 
     /// Append to an existing file. The file gets a fresh blob (old
     /// bytes + suffix); snapshots sharing the old blob are untouched.
     pub fn append_file(&mut self, path: &str, data: &[u8], access: &Access) -> Result<(), Errno> {
         let ino = self.resolve(path, access, FollowMode::Follow)?;
+        self.append_ino(ino, data, access)
+    }
+
+    /// [`append_file`](Self::append_file) once the path is resolved.
+    fn append_ino(&mut self, ino: Ino, data: &[u8], access: &Access) -> Result<(), Errno> {
         let node = self.inode(ino)?;
         if !permitted(
             access,
@@ -642,18 +704,10 @@ impl Fs {
 
     /// `symlink(2)`.
     pub fn symlink(&mut self, target: &str, path: &str, access: &Access) -> Result<Ino, Errno> {
-        let (dir, name) = self.walk_parent(path, access)?;
-        self.check_write_dir(dir, access)?;
-        if self.dir_entries(dir)?.contains_key(&name) {
-            return Err(Errno::EEXIST);
-        }
-        let now = self.tick();
+        let path = normal(path);
+        let at = self.walk_parent(&path, access)?;
         // Symlinks are created 0777 like Linux.
-        let (uid, gid) = self.create_ids(access);
-        let meta = Metadata::new(uid, gid, 0o777, now);
-        let ino = self.alloc(FileKind::Symlink(target.to_string()), meta);
-        self.dir_entries_mut(dir)?.insert(name, ino);
-        Ok(ino)
+        self.create_at(&at, FileKind::Symlink(target.to_string()), 0o777, access)
     }
 
     /// `mknod(2)` mechanics: create a device/fifo/socket/regular node.
@@ -668,17 +722,9 @@ impl Fs {
         if matches!(kind, FileKind::Dir { .. } | FileKind::Symlink(_)) {
             return Err(Errno::EINVAL);
         }
-        let (dir, name) = self.walk_parent(path, access)?;
-        self.check_write_dir(dir, access)?;
-        if self.dir_entries(dir)?.contains_key(&name) {
-            return Err(Errno::EEXIST);
-        }
-        let now = self.tick();
-        let (uid, gid) = self.create_ids(access);
-        let meta = Metadata::new(uid, gid, perm, now);
-        let ino = self.alloc(kind, meta);
-        self.dir_entries_mut(dir)?.insert(name, ino);
-        Ok(ino)
+        let path = normal(path);
+        let at = self.walk_parent(&path, access)?;
+        self.create_at(&at, kind, perm, access)
     }
 
     /// `link(2)`: new hard link to an existing non-directory.
@@ -687,12 +733,20 @@ impl Fs {
         if self.inode(ino)?.is_dir() {
             return Err(Errno::EPERM);
         }
-        let (dir, name) = self.walk_parent(newpath, access)?;
-        self.check_write_dir(dir, access)?;
-        if self.dir_entries(dir)?.contains_key(&name) {
+        let newpath = normal(newpath);
+        let at = self.walk_parent(&newpath, access)?;
+        self.link_at(&at, ino, access)
+    }
+
+    /// [`link`](Self::link) once both paths are walked: `ino` gets the
+    /// walked name as well.
+    fn link_at(&mut self, at: &Parent<'_>, ino: Ino, access: &Access) -> Result<(), Errno> {
+        self.check_write_dir(at.dir, access)?;
+        if at.child.is_some() {
             return Err(Errno::EEXIST);
         }
-        self.dir_entries_mut(dir)?.insert(name, ino);
+        self.dir_entries_mut(at.dir)?
+            .insert(at.name.to_string(), ino);
         self.inode_mut(ino)?.meta.nlink += 1;
         Ok(())
     }
@@ -841,70 +895,78 @@ impl Fs {
 
     /// `unlink(2)` (not for directories).
     pub fn unlink(&mut self, path: &str, access: &Access) -> Result<(), Errno> {
-        let (dir, name) = self.walk_parent(path, access)?;
-        let &victim = self.dir_entries(dir)?.get(&name).ok_or(Errno::ENOENT)?;
+        let path = normal(path);
+        let at = self.walk_parent(&path, access)?;
+        self.unlink_at(&at, access)
+    }
+
+    /// [`unlink`](Self::unlink) once the path is walked.
+    fn unlink_at(&mut self, at: &Parent<'_>, access: &Access) -> Result<(), Errno> {
+        let victim = at.child.ok_or(Errno::ENOENT)?;
         if self.inode(victim)?.is_dir() {
             return Err(Errno::EISDIR);
         }
-        self.may_delete(dir, victim, access)?;
-        self.dir_entries_mut(dir)?.remove(&name);
-        let node = self.inode_mut(victim)?;
-        node.meta.nlink -= 1;
-        if node.meta.nlink == 0 {
-            self.free(victim);
-        }
-        Ok(())
+        self.may_delete(at.dir, victim, access)?;
+        self.dir_entries_mut(at.dir)?.remove(at.name);
+        self.drop_link(victim)
     }
 
     /// `rmdir(2)`.
     pub fn rmdir(&mut self, path: &str, access: &Access) -> Result<(), Errno> {
-        let (dir, name) = self.walk_parent(path, access)?;
-        let &victim = self.dir_entries(dir)?.get(&name).ok_or(Errno::ENOENT)?;
+        let path = normal(path);
+        let at = self.walk_parent(&path, access)?;
+        self.rmdir_at(&at, access)
+    }
+
+    /// [`rmdir`](Self::rmdir) once the path is walked.
+    fn rmdir_at(&mut self, at: &Parent<'_>, access: &Access) -> Result<(), Errno> {
+        let victim = at.child.ok_or(Errno::ENOENT)?;
         if !self.inode(victim)?.is_dir() {
             return Err(Errno::ENOTDIR);
         }
         if !self.dir_entries(victim)?.is_empty() {
             return Err(Errno::ENOTEMPTY);
         }
-        self.may_delete(dir, victim, access)?;
-        self.dir_entries_mut(dir)?.remove(&name);
+        self.may_delete(at.dir, victim, access)?;
+        self.dir_entries_mut(at.dir)?.remove(at.name);
         self.free(victim);
         Ok(())
     }
 
-    /// `rename(2)` within this filesystem.
-    pub fn rename(&mut self, old: &str, new: &str, access: &Access) -> Result<(), Errno> {
-        let (odir, oname) = self.walk_parent(old, access)?;
-        let &moving = self.dir_entries(odir)?.get(&oname).ok_or(Errno::ENOENT)?;
-        self.may_delete(odir, moving, access)?;
-        let (ndir, nname) = self.walk_parent(new, access)?;
-        self.check_write_dir(ndir, access)?;
-
-        // Replace-target semantics: an existing non-dir target is
-        // replaced; an existing dir target must be empty.
-        if let Some(&target) = self.dir_entries(ndir)?.get(&nname) {
-            if target == moving {
-                return Ok(());
-            }
-            let t = self.inode(target)?;
-            if t.is_dir() {
-                if !self.dir_entries(target)?.is_empty() {
-                    return Err(Errno::ENOTEMPTY);
-                }
-                self.free(target);
-            } else {
-                let tm = self.inode_mut(target)?;
-                tm.meta.nlink -= 1;
-                if tm.meta.nlink == 0 {
-                    self.free(target);
-                }
-            }
-            self.dir_entries_mut(ndir)?.remove(&nname);
+    /// One fewer name for the non-directory `ino`; the last one frees it.
+    fn drop_link(&mut self, ino: Ino) -> Result<(), Errno> {
+        let node = self.inode_mut(ino)?;
+        node.meta.nlink -= 1;
+        if node.meta.nlink == 0 {
+            self.free(ino);
         }
+        Ok(())
+    }
+
+    /// `rename(2)` within this filesystem. Every check runs before the
+    /// first change, so a refused rename leaves the tree as it was.
+    pub fn rename(&mut self, old: &str, new: &str, access: &Access) -> Result<(), Errno> {
+        let (old, new) = (normal(old), normal(new));
+        let from = self.walk_parent(&old, access)?;
+        let moving = from.child.ok_or(Errno::ENOENT)?;
+        self.may_delete(from.dir, moving, access)?;
+        let to = self.walk_parent(&new, access)?;
+        self.check_write_dir(to.dir, access)?;
+        self.rename_at(&from, moving, &to)
+    }
+
+    /// [`rename`](Self::rename) once both paths are walked and the
+    /// caller may unlink `moving` from `from` and write `to`'s
+    /// directory: the checks on what moves where, then the move.
+    fn rename_at(&mut self, from: &Parent<'_>, moving: Ino, to: &Parent<'_>) -> Result<(), Errno> {
+        if to.child == Some(moving) {
+            return Ok(());
+        }
+        let moving_dir = self.inode(moving)?.is_dir();
 
         // Moving a directory under its own descendant would orphan it.
-        if self.inode(moving)?.is_dir() {
-            let mut cur = ndir;
+        if moving_dir {
+            let mut cur = to.dir;
             loop {
                 if cur == moving {
                     return Err(Errno::EINVAL);
@@ -919,10 +981,32 @@ impl Fs {
             }
         }
 
-        self.dir_entries_mut(odir)?.remove(&oname);
-        self.dir_entries_mut(ndir)?.insert(nname, moving);
+        // Replace-target semantics: a directory replaces only an empty
+        // directory, a non-directory only a non-directory.
+        if let Some(target) = to.child {
+            let target_dir = self.inode(target)?.is_dir();
+            if moving_dir && !target_dir {
+                return Err(Errno::ENOTDIR);
+            }
+            if !moving_dir && target_dir {
+                return Err(Errno::EISDIR);
+            }
+            if target_dir && !self.dir_entries(target)?.is_empty() {
+                return Err(Errno::ENOTEMPTY);
+            }
+            if target_dir {
+                self.free(target);
+            } else {
+                self.drop_link(target)?;
+            }
+            self.dir_entries_mut(to.dir)?.remove(to.name);
+        }
+
+        self.dir_entries_mut(from.dir)?.remove(from.name);
+        self.dir_entries_mut(to.dir)?
+            .insert(to.name.to_string(), moving);
         if let FileKind::Dir { parent, .. } = &mut self.inode_mut(moving)?.kind {
-            *parent = ndir;
+            *parent = to.dir;
         }
         Ok(())
     }
@@ -1104,23 +1188,45 @@ impl Fs {
     /// layers, outside any container's permission regime.
     pub fn mkdir_p(&mut self, path: &str, perm: u32) -> Result<Ino, Errno> {
         let root_access = Access::root();
-        let norm = normalize(path);
-        if norm == "/" {
-            return Ok(self.root());
-        }
-        let mut built = String::new();
+        let norm = normal(path);
         let mut last = self.root();
-        for comp in components(&norm) {
-            built.push('/');
-            built.push_str(comp);
-            last = match self.resolve(&built, &root_access, FollowMode::Follow) {
+        let mut rest: &str = &norm;
+        while let Some((_, tail)) = next_component(rest) {
+            // The path up to and including this component.
+            let built = &norm[..norm.len() - tail.len()];
+            last = match self.resolve(built, &root_access, FollowMode::Follow) {
                 Ok(ino) => ino,
-                Err(Errno::ENOENT) => self.mkdir(&built, perm, &root_access)?,
+                Err(Errno::ENOENT) => self.mkdir(built, perm, &root_access)?,
                 Err(e) => return Err(e),
             };
+            rest = tail;
         }
         Ok(last)
     }
+}
+
+/// Where a parent walk ended: the directory that holds the last
+/// component, that component (borrowed from the walked path) and its
+/// entry there, if any.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Parent<'p> {
+    dir: Ino,
+    name: &'p str,
+    child: Option<Ino>,
+}
+
+/// The first component of an absolute normal path (or of the `""` a
+/// walk ends on) and the rest of the path after it (`""` or `/…`);
+/// `None` once nothing is left.
+fn next_component(path: &str) -> Option<(&str, &str)> {
+    let rest = path.strip_prefix('/').filter(|r| !r.is_empty())?;
+    Some(rest.split_at(rest.find('/').unwrap_or(rest.len())))
+}
+
+/// An absolute normal path's directory part (`""` under the root) and
+/// last component; `None` for the root itself.
+fn split_last(path: &str) -> Option<(&str, &str)> {
+    path.rsplit_once('/').filter(|(_, name)| !name.is_empty())
 }
 
 /// What `stat` reports for inode `ino`.
@@ -1154,7 +1260,7 @@ fn shuffle_entries<S: AsRef<str>>(entries: &mut [(S, Ino)], seed: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::path::join;
+    use crate::path::{join, NAME_MAX};
 
     fn root() -> Access {
         Access::root()
@@ -1350,6 +1456,55 @@ mod tests {
         let mut fs = Fs::new();
         fs.mkdir_p("/a/b", 0o755).unwrap();
         assert_eq!(fs.rename("/a", "/a/b/c", &root()), Err(Errno::EINVAL));
+        // Refused before anything changes: an existing target survives.
+        fs.write_file("/a/b/x", 0o644, b"keep".to_vec(), &root())
+            .unwrap();
+        let before = fs.tree_digest();
+        assert_eq!(fs.rename("/a", "/a/b/x", &root()), Err(Errno::EINVAL));
+        assert_eq!(fs.read_file("/a/b/x", &root()), Ok(b"keep".to_vec()));
+        assert_eq!(fs.tree_digest(), before);
+    }
+
+    #[test]
+    fn rename_file_onto_directory_is_eisdir() {
+        let mut fs = Fs::new();
+        fs.mkdir("/empty", 0o755, &root()).unwrap();
+        fs.write_file("/f", 0o644, b"1".to_vec(), &root()).unwrap();
+        let before = fs.tree_digest();
+        assert_eq!(fs.rename("/f", "/empty", &root()), Err(Errno::EISDIR));
+        assert_eq!(fs.tree_digest(), before);
+        assert!(fs
+            .inode(fs.resolve("/empty", &root(), FollowMode::Follow).unwrap())
+            .unwrap()
+            .is_dir());
+    }
+
+    #[test]
+    fn rename_directory_onto_file_is_enotdir() {
+        let mut fs = Fs::new();
+        fs.mkdir("/d", 0o755, &root()).unwrap();
+        fs.write_file("/f", 0o644, b"1".to_vec(), &root()).unwrap();
+        let before = fs.tree_digest();
+        assert_eq!(fs.rename("/d", "/f", &root()), Err(Errno::ENOTDIR));
+        assert_eq!(fs.tree_digest(), before);
+        assert_eq!(fs.read_file("/f", &root()), Ok(b"1".to_vec()));
+    }
+
+    #[test]
+    fn rename_directory_onto_empty_directory_replaces_it() {
+        let mut fs = Fs::new();
+        fs.mkdir_p("/d/inner", 0o755).unwrap();
+        fs.mkdir("/empty", 0o755, &root()).unwrap();
+        fs.mkdir_p("/full/x", 0o755).unwrap();
+        assert_eq!(fs.rename("/d", "/full", &root()), Err(Errno::ENOTEMPTY));
+        fs.rename("/d", "/empty", &root()).unwrap();
+        assert!(fs
+            .resolve("/empty/inner", &root(), FollowMode::Follow)
+            .is_ok());
+        assert_eq!(
+            fs.resolve("/d", &root(), FollowMode::Follow),
+            Err(Errno::ENOENT)
+        );
     }
 
     #[test]
@@ -1740,8 +1895,9 @@ mod tests {
     }
 
     /// A seeded random tree: nested directories (some not searchable),
-    /// files, hard links, dangling and live symlinks, devices, fifos,
-    /// renames, unlinks and ownership changes.
+    /// files, hard links, relative, absolute, dangling, looping and
+    /// noisy symlinks, devices, fifos, renames, unlinks and ownership
+    /// changes.
     fn random_tree(seed: u64) -> Fs {
         let mut rng = seed | 1;
         let mut next = move |n: u64| {
@@ -1778,10 +1934,18 @@ mod tests {
                     let _ = fs.link(target, &path, &root());
                 }
                 5 => {
-                    let target = match next(3) {
+                    let other = names[next(names.len() as u64) as usize];
+                    let target = match next(7) {
                         0 => "../etc".to_string(),
-                        1 => format!("/{}", names[next(names.len() as u64) as usize]),
-                        _ => "dangling/nowhere".to_string(),
+                        1 => format!("/{other}"),
+                        2 => "dangling/nowhere".to_string(),
+                        // Loops: the link names itself, relatively or
+                        // absolutely.
+                        3 => name.to_string(),
+                        4 => path.clone(),
+                        // Noisy targets: `.`, `//` and a trailing `/`.
+                        5 => format!(".//{other}/./"),
+                        _ => format!("{dir}/../{other}/"),
                     };
                     let _ = fs.symlink(&target, &path, &root());
                 }
@@ -1874,5 +2038,326 @@ mod tests {
         let stored = fs.read_file_blob("/etc-copy", &root()).unwrap();
         assert!(Arc::ptr_eq(&blob, &stored));
         assert!(stored.sha_is_cached(), "memo rode along");
+    }
+
+    // ---- the reference walk --------------------------------------------------
+
+    /// The walk `resolve` ran before the borrowed one: normalize, collect
+    /// the components into a `Vec`, walk them. Kept as the reference the
+    /// borrowed walk must match.
+    fn resolve_reference(
+        fs: &Fs,
+        path: &str,
+        access: &Access,
+        follow: FollowMode,
+    ) -> Result<Ino, Errno> {
+        resolve_reference_inner(fs, &normalize(path), access, follow, &mut 0)
+    }
+
+    fn resolve_reference_inner(
+        fs: &Fs,
+        path: &str,
+        access: &Access,
+        follow: FollowMode,
+        depth: &mut u32,
+    ) -> Result<Ino, Errno> {
+        let comps: Vec<&str> = crate::path::components(path).collect();
+        let mut cur = fs.root();
+        let mut i = 0usize;
+        while i < comps.len() {
+            let comp = comps[i];
+            let node = fs.inode(cur)?;
+            let (entries, parent) = match &node.kind {
+                FileKind::Dir { entries, parent } => (entries, *parent),
+                _ => return Err(Errno::ENOTDIR),
+            };
+            if !permitted(
+                access,
+                node.meta.uid,
+                node.meta.gid,
+                node.meta.perm,
+                Want::X,
+            ) {
+                return Err(Errno::EACCES);
+            }
+            if comp == ".." {
+                cur = parent;
+                i += 1;
+                continue;
+            }
+            let &child = entries.get(comp).ok_or(Errno::ENOENT)?;
+            let child_node = fs.inode(child)?;
+            let last = i + 1 == comps.len();
+            if let FileKind::Symlink(target) = &child_node.kind {
+                if !last || follow == FollowMode::Follow {
+                    *depth += 1;
+                    if *depth > MAX_SYMLINKS {
+                        return Err(Errno::ELOOP);
+                    }
+                    let mut rebuilt = if target.starts_with('/') {
+                        target.clone()
+                    } else {
+                        let dir = fs.path_of(cur)?;
+                        format!("{dir}/{target}")
+                    };
+                    for rest in &comps[i + 1..] {
+                        rebuilt.push('/');
+                        rebuilt.push_str(rest);
+                    }
+                    return resolve_reference_inner(
+                        fs,
+                        &normalize(&rebuilt),
+                        access,
+                        follow,
+                        depth,
+                    );
+                }
+            }
+            cur = child;
+            i += 1;
+        }
+        Ok(cur)
+    }
+
+    /// The parent walk before the borrowed one: normalize, split off the
+    /// last component into a `String`, resolve the parent.
+    fn walk_parent_reference(
+        fs: &Fs,
+        path: &str,
+        access: &Access,
+    ) -> Result<(Ino, String, Option<Ino>), Errno> {
+        let norm = normalize(path);
+        let (parent, name) = crate::path::split_parent(&norm).ok_or(Errno::EEXIST)?;
+        if !valid_name(name) {
+            return Err(Errno::EINVAL);
+        }
+        let dir = resolve_reference(fs, &parent, access, FollowMode::Follow)?;
+        if !fs.inode(dir)?.is_dir() {
+            return Err(Errno::ENOTDIR);
+        }
+        let child = fs.dir_entries(dir)?.get(name).copied();
+        Ok((dir, name.to_string(), child))
+    }
+
+    /// A mutating op on one or two probe paths.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Mkdir,
+        Create,
+        Write,
+        Append,
+        Symlink,
+        Mknod,
+        Link,
+        Unlink,
+        Rmdir,
+        Rename,
+    }
+
+    const OPS: [Op; 10] = [
+        Op::Mkdir,
+        Op::Create,
+        Op::Write,
+        Op::Append,
+        Op::Symlink,
+        Op::Mknod,
+        Op::Link,
+        Op::Unlink,
+        Op::Rmdir,
+        Op::Rename,
+    ];
+
+    /// `op` through the public API (the borrowed walk).
+    fn apply(fs: &mut Fs, op: Op, a: &str, b: &str, access: &Access) -> Result<(), Errno> {
+        match op {
+            Op::Mkdir => fs.mkdir(a, 0o750, access).map(drop),
+            Op::Create => fs.create_file(a, 0o640, b"c".to_vec(), access).map(drop),
+            Op::Write => fs.write_file(a, 0o640, b"w".to_vec(), access).map(drop),
+            Op::Append => fs.append_file(a, b"+", access),
+            Op::Symlink => fs.symlink(b, a, access).map(drop),
+            Op::Mknod => fs.mknod(a, FileKind::Fifo, 0o600, access).map(drop),
+            Op::Link => fs.link(b, a, access),
+            Op::Unlink => fs.unlink(a, access),
+            Op::Rmdir => fs.rmdir(a, access),
+            Op::Rename => fs.rename(a, b, access),
+        }
+    }
+
+    /// `op` through the reference walk and the same mechanics, in the
+    /// order the ops ran before the borrowed walk.
+    fn apply_reference(
+        fs: &mut Fs,
+        op: Op,
+        a: &str,
+        b: &str,
+        access: &Access,
+    ) -> Result<(), Errno> {
+        // Create what `kind` makes of the walked parent directory.
+        let create = |fs: &mut Fs, kind: &dyn Fn(Ino) -> FileKind, perm| {
+            let (dir, name, child) = walk_parent_reference(fs, a, access)?;
+            let at = Parent {
+                dir,
+                name: &name,
+                child,
+            };
+            fs.create_at(&at, kind(dir), perm, access).map(drop)
+        };
+        let file = |bytes: &[u8]| FileKind::File(Blob::new(bytes.to_vec()));
+        match op {
+            Op::Mkdir => create(
+                fs,
+                &|parent| FileKind::Dir {
+                    entries: Arc::new(BTreeMap::new()),
+                    parent,
+                },
+                0o750,
+            ),
+            Op::Create => create(fs, &|_| file(b"c"), 0o640),
+            Op::Write => match resolve_reference(fs, a, access, FollowMode::Follow) {
+                Ok(ino) => fs
+                    .overwrite(ino, Blob::new(b"w".to_vec()), access)
+                    .map(drop),
+                Err(Errno::ENOENT) => create(fs, &|_| file(b"w"), 0o640),
+                Err(e) => Err(e),
+            },
+            Op::Append => {
+                let ino = resolve_reference(fs, a, access, FollowMode::Follow)?;
+                fs.append_ino(ino, b"+", access)
+            }
+            Op::Symlink => create(fs, &|_| FileKind::Symlink(b.to_string()), 0o777),
+            Op::Mknod => create(fs, &|_| FileKind::Fifo, 0o600),
+            Op::Link => {
+                let ino = resolve_reference(fs, b, access, FollowMode::NoFollow)?;
+                if fs.inode(ino)?.is_dir() {
+                    return Err(Errno::EPERM);
+                }
+                let (dir, name, child) = walk_parent_reference(fs, a, access)?;
+                let at = Parent {
+                    dir,
+                    name: &name,
+                    child,
+                };
+                fs.link_at(&at, ino, access)
+            }
+            Op::Unlink | Op::Rmdir => {
+                let (dir, name, child) = walk_parent_reference(fs, a, access)?;
+                let at = Parent {
+                    dir,
+                    name: &name,
+                    child,
+                };
+                if matches!(op, Op::Unlink) {
+                    fs.unlink_at(&at, access)
+                } else {
+                    fs.rmdir_at(&at, access)
+                }
+            }
+            Op::Rename => {
+                let (odir, oname, moving) = walk_parent_reference(fs, a, access)?;
+                let moving = moving.ok_or(Errno::ENOENT)?;
+                fs.may_delete(odir, moving, access)?;
+                let (ndir, nname, target) = walk_parent_reference(fs, b, access)?;
+                fs.check_write_dir(ndir, access)?;
+                let from = Parent {
+                    dir: odir,
+                    name: &oname,
+                    child: Some(moving),
+                };
+                let to = Parent {
+                    dir: ndir,
+                    name: &nname,
+                    child: target,
+                };
+                fs.rename_at(&from, moving, &to)
+            }
+        }
+    }
+
+    /// Probe paths for a tree: every reachable path as it is, and
+    /// spelled with `.`, `..`, `//`, a trailing `/`, no leading `/`, a
+    /// child below it (a file used as a directory), a missing name and
+    /// a name too long to create.
+    fn probes(fs: &Fs) -> Vec<String> {
+        let long = "n".repeat(NAME_MAX + 1);
+        let mut out = vec![
+            String::new(),
+            "/".into(),
+            "//".into(),
+            "/..".into(),
+            format!("/nowhere/{long}"),
+        ];
+        for (path, _) in fs.walk_paths(&root()) {
+            let bare = path.trim_start_matches('/');
+            out.extend([
+                format!("{path}/"),
+                format!("{path}/."),
+                format!("{path}/.."),
+                format!("{path}/x"),
+                format!("{path}/{long}"),
+                format!("{path}/missing/.."),
+                format!("/{bare}/../{bare}"),
+                format!("//{bare}"),
+                format!("/./{bare}"),
+                bare.to_string(),
+            ]);
+            out.push(path);
+        }
+        out
+    }
+
+    #[test]
+    fn borrowed_walk_matches_reference_resolve() {
+        let accesses = [root(), Access::user(1000, 1), Access::user(0, 0)];
+        for seed in 0..48 {
+            let fs = random_tree(seed * 0x9e37_79b9 + 1);
+            for path in probes(&fs) {
+                for access in &accesses {
+                    for follow in [FollowMode::Follow, FollowMode::NoFollow] {
+                        assert_eq!(
+                            fs.resolve(&path, access, follow),
+                            resolve_reference(&fs, &path, access, follow),
+                            "seed {seed}, {path:?}, {follow:?}, {access:?}"
+                        );
+                    }
+                    let borrowed = normal(&path);
+                    let walked = fs
+                        .walk_parent(&borrowed, access)
+                        .map(|at| (at.dir, at.name.to_string(), at.child));
+                    assert_eq!(
+                        walked,
+                        walk_parent_reference(&fs, &path, access),
+                        "seed {seed}, {path:?}, {access:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mutating_ops_match_the_reference_walk() {
+        let accesses = [root(), Access::user(1000, 1)];
+        for seed in 0..12 {
+            let fs = random_tree(seed * 0x51_7cc1 + 7);
+            let probes = probes(&fs);
+            let mut rng = seed | 1;
+            let mut pick = || {
+                rng = rng.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                &probes[(rng >> 33) as usize % probes.len()]
+            };
+            for _ in 0..60 {
+                let (a, b) = (pick().clone(), pick().clone());
+                for access in &accesses {
+                    for op in OPS {
+                        let (mut new, mut old) = (fs.clone(), fs.clone());
+                        let got = apply(&mut new, op, &a, &b, access);
+                        let want = apply_reference(&mut old, op, &a, &b, access);
+                        let what = format!("seed {seed}, {op:?} {a:?} {b:?}, {access:?}");
+                        assert_eq!(got, want, "{what}");
+                        assert_eq!(new.tree_digest(), old.tree_digest(), "{what}");
+                        assert_eq!(new.walk_paths(&root()), old.walk_paths(&root()), "{what}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -14,6 +14,15 @@
 //!
 //! Errors are [`zr_syscalls::Errno`] values throughout, so syscall
 //! results flow unmodified from the deepest layer to the simulated libc.
+//!
+//! ## Path contract
+//!
+//! Every path operation walks its path once, component by component
+//! from `/`, nameidata-style. An absolute normal path
+//! ([`path::is_normal`]: no `//`, `.`, `..` or trailing `/`) is walked
+//! borrowed, as the caller passed it; every other path is normalized
+//! lexically once ([`normalize`]), so `..` never climbs through a
+//! symlink. Only a symlink on the way builds a new path string.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,8 +1,11 @@
 //! Path manipulation for the virtual filesystem.
 //!
 //! All VFS paths are absolute, `/`-separated, UTF-8 strings. [`normalize`]
-//! resolves `.` and `..` *lexically* (the kernel-level walker handles
-//! `..`-through-symlink correctly by walking components instead).
+//! resolves `.` and `..` *lexically*. A path that is already absolute
+//! and normal ([`is_normal`], a byte scan) is used as it is: [`normal`]
+//! borrows it and allocates only for the paths that need rewriting.
+
+use std::borrow::Cow;
 
 /// Maximum path length, mirroring `PATH_MAX`.
 pub const PATH_MAX: usize = 4096;
@@ -35,6 +38,29 @@ pub fn normalize(path: &str) -> String {
             out.push_str(c);
         }
         out
+    }
+}
+
+/// Is `path` absolute and normal — exactly when `normalize(path) ==
+/// path`? A byte scan: no `//`, no `.` or `..` component, no trailing
+/// `/` (except the root itself).
+pub fn is_normal(path: &str) -> bool {
+    match path.strip_prefix('/') {
+        None => false,
+        Some("") => true,
+        Some(rest) => rest
+            .split('/')
+            .all(|c| !c.is_empty() && c != "." && c != ".."),
+    }
+}
+
+/// `path` as an absolute normal path: borrowed when it already is one,
+/// [`normalize`]d otherwise.
+pub fn normal(path: &str) -> Cow<'_, str> {
+    if is_normal(path) {
+        Cow::Borrowed(path)
+    } else {
+        Cow::Owned(normalize(path))
     }
 }
 
@@ -88,6 +114,20 @@ mod tests {
         assert_eq!(normalize("/a/b/../c"), "/a/c");
         assert_eq!(normalize("/../.."), "/");
         assert_eq!(normalize("/a/../../b"), "/b");
+    }
+
+    #[test]
+    fn normal_paths_are_borrowed() {
+        for p in ["/", "/a", "/a/b.c/..d", "/.x"] {
+            assert!(is_normal(p), "{p}");
+            assert!(matches!(normal(p), Cow::Borrowed(_)));
+        }
+        for p in [
+            "", "a", "//", "/a/", "/a//b", "/./a", "/a/.", "/a/..", "/../a",
+        ] {
+            assert!(!is_normal(p), "{p}");
+            assert_eq!(normal(p), normalize(p));
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use zr_vfs::access::Access;
 use zr_vfs::fs::{FollowMode, Fs};
-use zr_vfs::path::{join, normalize};
+use zr_vfs::path::{is_normal, join, normalize};
 
 fn arb_name() -> impl Strategy<Value = String> {
     "[a-z]{1,8}"
@@ -24,6 +24,13 @@ proptest! {
         for comp in n.split('/') {
             prop_assert!(comp != "." && comp != "..");
         }
+    }
+
+    /// The byte scan that lets a path be walked borrowed holds exactly
+    /// for the paths normalization leaves unchanged.
+    #[test]
+    fn is_normal_iff_normalize_is_identity(input in "[a./]{0,16}") {
+        prop_assert_eq!(is_normal(&input), normalize(&input) == input);
     }
 
     /// join with an absolute rhs ignores the base.
